@@ -29,6 +29,7 @@ normalization checks and correctable-set derivation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import CapacityError, ParameterError
 from .pauli import PauliString, hadamard_conjugate
@@ -182,10 +183,15 @@ def _chain_weight(bits_mask: int, n: int, p: float, mu: float) -> float:
     return w
 
 
-def _flavored(ops_mask: int, params: ChannelParams) -> PauliString:
-    if params.flavor == FLAVOR_BIT:
-        return PauliString.x_string(params.n, ops_mask)
-    return PauliString.z_string(params.n, ops_mask)
+@lru_cache(maxsize=None)
+def _flavored_strings(n: int, flavor: str) -> tuple[PauliString, ...]:
+    """X-strings (Z-strings for the phase flavor) on n qubits, indexed by mask.
+
+    PauliStrings are immutable, so every channel of the same (n, flavor)
+    shares these instead of building 2^n new ones.
+    """
+    make = PauliString.x_string if flavor == FLAVOR_BIT else PauliString.z_string
+    return tuple(make(n, m) for m in range(1 << n))
 
 
 def model1_channel(params: ChannelParams) -> NoiseChannel:
@@ -193,9 +199,8 @@ def model1_channel(params: ChannelParams) -> NoiseChannel:
     if params.model != MODEL_I:
         raise ParameterError(f"params.model must be {MODEL_I} for model1_channel")
     n, p, mu = params.n, params.p, params.mu
-    terms = tuple(
-        (_chain_weight(m, n, p, mu), _flavored(m, params)) for m in range(1 << n)
-    )
+    strings = _flavored_strings(n, params.flavor)
+    terms = tuple((_chain_weight(m, n, p, mu), op) for m, op in enumerate(strings))
     return _checked(NoiseChannel(n, terms, MODEL_I, params.flavor, p, mu))
 
 
@@ -208,14 +213,15 @@ def model2_channel(params: ChannelParams) -> NoiseChannel:
     if params.model != MODEL_II:
         raise ParameterError(f"params.model must be {MODEL_II} for model2_channel")
     n, p, mu = params.n, params.p, params.mu
+    strings = _flavored_strings(n, params.flavor)
     terms = []
-    for m in range(1 << n):
+    for m, op in enumerate(strings):
         k = m.bit_count()
         iid = p**k * (1.0 - p) ** (n - k)
-        terms.append(((1.0 - mu) * iid, _flavored(m, params)))
+        terms.append(((1.0 - mu) * iid, op))
     survive = (1.0 - p) ** n
-    terms.append((mu * survive, _flavored(0, params)))
-    terms.append((mu * (1.0 - survive), _flavored((1 << n) - 1, params)))
+    terms.append((mu * survive, strings[0]))
+    terms.append((mu * (1.0 - survive), strings[-1]))
     return _checked(NoiseChannel(n, tuple(terms), MODEL_II, params.flavor, p, mu))
 
 

@@ -19,6 +19,7 @@ from .channels import (
     model1_channel,
     model2_channel,
 )
+from .errors import ParameterError
 from .fidelity import (
     closed_form,
     dense_oracle_fidelity,
@@ -68,6 +69,9 @@ class SuiteResult:
 
 def closed_form_agreement(grid_steps: int = 21, inject: str | None = None) -> SuiteResult:
     """Numeric pipeline vs published polynomial on a (mu, p) grid."""
+    if grid_steps < 1:
+        # an empty grid would check nothing and pass
+        raise ParameterError(f"closed-form grid needs >= 1 step per axis, got {grid_steps}")
     grid = np.linspace(0.0, 1.0, grid_steps)
     worst = 0.0
     worst_case = ""

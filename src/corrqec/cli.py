@@ -10,7 +10,7 @@ import sys
 
 from .channels import ChannelParams, build_channel
 from .checks import SUITES, run_suites
-from .errors import ParameterError
+from .errors import CapacityError, DimensionError, ParameterError, UnsupportedPairError
 from .recovery import (
     alternative_maximal_sets,
     correctable_set,
@@ -29,6 +29,16 @@ from .sweep import (
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
+
+# bad input, reported as one line and exit code USAGE_ERROR
+INPUT_ERRORS = (ParameterError, CapacityError, DimensionError, UnsupportedPairError)
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the verification suites")
     ver.add_argument("--suite", choices=tuple(SUITES), default=None,
                      help="run a single suite (default: all)")
-    ver.add_argument("--grid", type=int, default=21,
+    ver.add_argument("--grid", type=positive_int, default=21,
                      help="closed-form agreement grid steps per axis")
     ver.add_argument("--inject-error", default=None, metavar="SCHEME-MODELN",
                      help="test hook: perturb one closed form, e.g. concat6-model1")
@@ -101,9 +111,12 @@ def _values(single: float | None, range_text: str | None, name: str) -> tuple[fl
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:
@@ -184,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ParameterError as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -8,14 +8,21 @@ fidelity of the maximally mixed logical state is
     tr [M]_C = <0L|M|0L> + <1L|M|1L>,
 
 with R_l = |0L><v_l^0| + |1L><v_l^1| the restricted trace reduces to
-<v_l^0|A_k|0L> + <v_l^1|A_k|1L>.  The complement projector is iterated in
-the same loop; its restricted traces must vanish because the code space is
-contained in the syndrome spaces, and a nonzero value raises.
+<v_l^0|A_k|0L> + <v_l^1|A_k|1L>.  The complement projector contributes one
+more restricted trace, which must vanish because the code space is
+contained in the syndrome spaces; a nonzero value raises.
 
-The evaluator always consumes the channel's canonical (unmerged) term
-list.  Merging terms that carry the same Pauli adds their weights w, which
-leaves every sum of w * |tr|^2 unchanged, so the merged view agrees; the
-unmerged list is still pinned as the decomposition of record.
+For Pauli noise the restricted traces depend only on the Pauli A_k, never
+on (mu, p).  The recovery set therefore memoizes, per Pauli, the nonzero
+squares |tr[R_l A_k]_C|^2, computed with the sparse arithmetic above (and
+checked against the complement contract) the first time the Pauli occurs.
+A fidelity point is then one pass over the channel's terms adding w_k * s
+for each memoized square s, in the same order and with the same operands
+as recomputing every trace, so the result is bit-identical to it.
+
+The evaluator consumes the channel's canonical (unmerged) term list.
+Merging terms that carry the same Pauli adds their weights w, which leaves
+every sum of w * |tr|^2 unchanged up to rounding, so the merged view agrees.
 
 Closed-form fidelity polynomials in (mu, p) exist for the six
 (scheme in {bit3, dfs2, concat6}) x (model in {1, 2}) pairs and are
@@ -46,7 +53,7 @@ from .errors import (
     ParameterError,
     UnsupportedPairError,
 )
-from .pauli import apply_to_state
+from .pauli import PauliString, apply_to_state
 from .recovery import RecoverySet, recovery_dense
 from .schemes import resolve_scheme, scheme_qubits, scheme_recovery
 
@@ -86,30 +93,48 @@ class ThresholdPoint:
 def entanglement_fidelity_corrected(
     code: QuantumCode, channel: NoiseChannel, rs: RecoverySet
 ) -> float:
-    """Fidelity of recovery-after-channel on the code's logical qubit."""
+    """Fidelity of recovery-after-channel on the code's logical qubit.
+
+    ``code`` must be ``rs.code``: the restricted traces memoized on ``rs``
+    hold for that code only.
+    """
     if channel.n != code.n:
         raise DimensionError(f"channel acts on {channel.n} qubits, code has {code.n}")
-    if rs.code.n != code.n:
-        raise DimensionError("recovery set was built for a different qubit count")
-    zero, one = code.logical_zero, code.logical_one
+    if code is not rs.code:
+        raise ParameterError("recovery set was built for a different code")
+    memo = rs.restricted_traces
     total = 0.0
     for w, op in channel.terms:
-        y0 = apply_to_state(op, zero)
-        y1 = apply_to_state(op, one)
-        for rop in rs.ops:
-            t = rop.v0.inner(y0) + rop.v1.inner(y1)
-            total += w * (t.real * t.real + t.imag * t.imag)
-        if rs.complement:
-            t = sum(
-                zero.inner(r) * r.inner(y0) + one.inner(r) * r.inner(y1)
-                for r in rs.complement
-            )
-            if abs(t) > COMPLEMENT_TRACE_TOL:
-                raise ContractViolationError(
-                    "complement projector has a nonzero restricted trace"
-                )
-            total += w * (t.real * t.real + t.imag * t.imag)
+        key = (op.x_mask, op.z_mask, op.phase)
+        squares = memo.get(key)
+        if squares is None:
+            squares = memo[key] = _squared_restricted_traces(rs, op)
+        for s in squares:
+            total += w * s
     return total / 4.0
+
+
+def _squared_restricted_traces(rs: RecoverySet, op: PauliString) -> tuple[float, ...]:
+    """Nonzero |tr[R_l op]_C|^2, isometries in order, then the complement.
+
+    Exact zeros are dropped: adding w * 0.0 leaves the kernel's sum unchanged.
+    """
+    zero, one = rs.code.logical_zero, rs.code.logical_one
+    y0 = apply_to_state(op, zero)
+    y1 = apply_to_state(op, one)
+    traces = [rop.v0.inner(y0) + rop.v1.inner(y1) for rop in rs.ops]
+    if rs.complement:
+        t = sum(
+            zero.inner(r) * r.inner(y0) + one.inner(r) * r.inner(y1)
+            for r in rs.complement
+        )
+        if abs(t) > COMPLEMENT_TRACE_TOL:
+            raise ContractViolationError(
+                "complement projector has a nonzero restricted trace"
+            )
+        traces.append(t)
+    squares = (t.real * t.real + t.imag * t.imag for t in traces)
+    return tuple(s for s in squares if s != 0.0)
 
 
 def entanglement_fidelity_unencoded(channel: NoiseChannel) -> float:
@@ -132,13 +157,17 @@ def dense_oracle_fidelity(code: QuantumCode, channel: NoiseChannel, rs: Recovery
     d0 = code.logical_zero.dense()
     d1 = code.logical_one.dense()
     proj = np.outer(d0, d0.conj()) + np.outer(d1, d1.conj())
-    rmats = recovery_dense(rs)
+    # tr[P R A P] = tr[(P R) A] = sum_ij (P R)_ij A_ji; P R replaces R in
+    # place, so no more matrices are held than recovery_dense returns
+    projected = recovery_dense(rs)
+    for i, rmat in enumerate(projected):
+        projected[i] = (proj @ rmat).ravel()
     total = 0.0
     for w, op in channel.terms:
-        a = math.sqrt(w) * op.dense()
-        for rmat in rmats:
-            restricted = proj @ (rmat @ a) @ proj
-            total += abs(np.trace(restricted)) ** 2
+        a_transposed = (math.sqrt(w) * op.dense()).T.ravel()
+        for row in projected:
+            t = row @ a_transposed
+            total += t.real**2 + t.imag**2
     return float(total / 4.0)
 
 

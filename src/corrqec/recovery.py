@@ -28,7 +28,7 @@ index and attached as the projector R_perp.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,9 +58,20 @@ class RecoveryOp:
 
 @dataclass(frozen=True)
 class RecoverySet:
+    """Recovery operators for ``code``, plus the complement basis, if any.
+
+    ``restricted_traces`` memoizes, per channel Pauli keyed by
+    ``(x_mask, z_mask, phase)``, the nonzero squared restricted traces
+    ``|tr[R_l A]_C|^2`` (isometries first, then the complement projector);
+    it is filled by the fidelity kernel and valid for ``code`` only.
+    """
+
     code: QuantumCode
     ops: tuple[RecoveryOp, ...]
     complement: tuple[SparseState, ...]
+    restricted_traces: dict[tuple[int, int, int], tuple[float, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def to_json_dict(self) -> dict:
         def dump(state: SparseState) -> list[dict]:

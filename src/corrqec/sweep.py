@@ -45,6 +45,9 @@ def parse_range(text: str) -> tuple[float, ...]:
         raise ParameterError(f"steps must be >= 1, got {steps}")
     if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
         raise ParameterError(f"range endpoints must lie in [0, 1], got {text!r}")
+    if lo > hi:
+        # rows are emitted in ascending order of each swept parameter
+        raise ParameterError(f"range min must not exceed max, got {text!r}")
     if steps == 1:
         return (lo,)
     return tuple(float(v) for v in np.linspace(lo, hi, steps))

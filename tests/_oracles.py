@@ -1,11 +1,17 @@
-"""Independent dense-matrix oracles used across the test suite.
+"""Independent oracles used across the test suite.
 
-Deliberately built from scratch with numpy kron products rather than the
-library's own dense conversions, so mask/phase bookkeeping is checked
-against plain matrix arithmetic.
+The dense ones are deliberately built from scratch with numpy kron products
+rather than the library's own dense conversions, so mask/phase bookkeeping
+is checked against plain matrix arithmetic.  ``per_point_fidelity`` is the
+corrected-fidelity loop that recomputes every restricted trace at every
+point; the memoized kernel must reproduce it bit for bit.
 """
 
 import numpy as np
+
+from corrqec.errors import ContractViolationError
+from corrqec.fidelity import COMPLEMENT_TRACE_TOL
+from corrqec.pauli import apply_to_state
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -44,3 +50,26 @@ def choi_matrix(kraus_dense):
         vec = a.reshape(-1, order="F")
         choi += np.outer(vec, vec.conj())
     return choi
+
+
+def per_point_fidelity(code, channel, rs):
+    """(1/4) sum_{k,l} w_k |tr[R_l A_k]_C|^2, every trace recomputed per term."""
+    zero, one = code.logical_zero, code.logical_one
+    total = 0.0
+    for w, op in channel.terms:
+        y0 = apply_to_state(op, zero)
+        y1 = apply_to_state(op, one)
+        for rop in rs.ops:
+            t = rop.v0.inner(y0) + rop.v1.inner(y1)
+            total += w * (t.real * t.real + t.imag * t.imag)
+        if rs.complement:
+            t = sum(
+                zero.inner(r) * r.inner(y0) + one.inner(r) * r.inner(y1)
+                for r in rs.complement
+            )
+            if abs(t) > COMPLEMENT_TRACE_TOL:
+                raise ContractViolationError(
+                    "complement projector has a nonzero restricted trace"
+                )
+            total += w * (t.real * t.real + t.imag * t.imag)
+    return total / 4.0

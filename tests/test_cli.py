@@ -4,8 +4,16 @@ import sys
 
 import pytest
 
+from corrqec import cli
+from corrqec.checks import closed_form_agreement
 from corrqec.cli import main
-from corrqec.sweep import CSV_HEADER, THRESHOLD_CSV_HEADER
+from corrqec.errors import (
+    CapacityError,
+    DimensionError,
+    ParameterError,
+    UnsupportedPairError,
+)
+from corrqec.sweep import CSV_HEADER, THRESHOLD_CSV_HEADER, parse_range
 
 
 def run_cli(capsys, *argv):
@@ -217,3 +225,56 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == CSV_HEADER
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_verify_rejects_grid_below_one(capsys, grid):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "closed-form", "--grid", grid])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "PASS" not in out.out
+    assert f"argument --grid: must be >= 1, got {grid}" in out.err
+    assert "Traceback" not in out.err
+
+
+def test_closed_form_suite_refuses_an_empty_grid():
+    for steps in (0, -3):
+        with pytest.raises(ParameterError):
+            closed_form_agreement(steps)
+
+
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(
+        capsys, "fidelity", "--model", "1", "--scheme", "bit3",
+        "--p", "0.1", "--mu", "0", "--output", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [CapacityError, DimensionError, UnsupportedPairError])
+def test_library_input_errors_exit_2_with_one_line(capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("input out of range")
+
+    monkeypatch.setattr(cli, "run_sweep", fail)
+    code, out, err = run_cli(
+        capsys, "fidelity", "--model", "1", "--scheme", "bit3", "--p", "0.1", "--mu", "0"
+    )
+    assert code == 2
+    assert err == "error: input out of range\n"
+
+
+def test_descending_range_is_refused(capsys):
+    with pytest.raises(ParameterError):
+        parse_range("0.9:0.1:3")
+    assert parse_range("0.4:0.4:2") == (0.4, 0.4)
+    code, out, err = run_cli(
+        capsys, "fidelity", "--model", "1", "--scheme", "bit3",
+        "--p-range", "0.9:0.1:3", "--mu", "0",
+    )
+    assert code == 2 and out == ""
+    assert "0.9:0.1:3" in err

@@ -1,5 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+
+from _oracles import per_point_fidelity
+from corrqec import fidelity
 
 from corrqec.channels import (
     MODEL_I,
@@ -9,7 +14,12 @@ from corrqec.channels import (
     model1_channel,
     model2_channel,
 )
-from corrqec.errors import CapacityError, ParameterError, UnsupportedPairError
+from corrqec.errors import (
+    CapacityError,
+    ContractViolationError,
+    ParameterError,
+    UnsupportedPairError,
+)
 from corrqec.fidelity import (
     closed_form,
     dense_oracle_fidelity,
@@ -20,6 +30,7 @@ from corrqec.fidelity import (
     has_closed_form,
     threshold_mu,
 )
+from corrqec.recovery import RecoverySet
 from corrqec.schemes import scheme_recovery
 
 
@@ -301,3 +312,61 @@ def test_model1_channel_term_count_feeds_fidelity():
     assert len(ch2.terms) == 66
     f = entanglement_fidelity_corrected(code, ch2, rs)
     assert abs(f - closed_form("concat6", MODEL_II, 0.5, 0.1)) < 1e-10
+
+
+EDGE_VALUES = (0.0, 1.0, 5e-324, 1e-8, 1.0 / 3.0, 0.9)
+
+
+def test_memoized_kernel_is_bit_identical_to_per_point_loop():
+    for scheme in ("bit3", "dfs2", "concat6"):
+        for flavor in ("bit", "phase"):
+            code, rs = scheme_recovery(scheme, flavor)
+            for model in (MODEL_I, MODEL_II):
+                for p in EDGE_VALUES:
+                    for mu in EDGE_VALUES:
+                        ch = channel(model, code.n, p, mu, flavor)
+                        # only model II repeats Paulis, so only it has a distinct merged view
+                        views = (ch, ch.merged()) if model == MODEL_II else (ch,)
+                        for view in views:
+                            got = entanglement_fidelity_corrected(code, view, rs)
+                            assert got == per_point_fidelity(code, view, rs), (
+                                scheme, flavor, model, p, mu, view.is_merged
+                            )
+
+
+def test_restricted_traces_are_computed_once_per_pauli(monkeypatch):
+    code, rs = scheme_recovery("concat6", "bit")
+    fresh = RecoverySet(code, rs.ops, rs.complement)
+    fills = []
+    original = fidelity._squared_restricted_traces
+
+    def counting(rs_arg, op):
+        fills.append((op.x_mask, op.z_mask, op.phase))
+        return original(rs_arg, op)
+
+    monkeypatch.setattr(fidelity, "_squared_restricted_traces", counting)
+    for model in (MODEL_I, MODEL_II):
+        for p, mu in ((0.1, 0.0), (0.3, 0.7), (0.9, 1.0)):
+            entanglement_fidelity_corrected(code, channel(model, 6, p, mu), fresh)
+    assert len(fills) == len(set(fills)) == 64
+    assert set(fresh.restricted_traces) == set(fills)
+
+
+def test_corrupted_complement_still_raises():
+    code, rs = scheme_recovery("dfs2", "bit")
+    # a complement vector inside the code space has a nonzero restricted trace
+    broken = RecoverySet(code, rs.ops, (code.logical_zero,) + rs.complement[1:])
+    with pytest.raises(ContractViolationError):
+        entanglement_fidelity_corrected(code, channel(MODEL_I, 2, 0.1, 0.5), broken)
+    with pytest.raises(ContractViolationError):
+        per_point_fidelity(code, channel(MODEL_I, 2, 0.1, 0.5), broken)
+
+
+def test_kernel_rejects_a_code_other_than_the_recovery_sets():
+    code_b, rs_b = scheme_recovery("bit3", "bit")
+    code_p, rs_p = scheme_recovery("bit3", "phase")
+    ch = channel(MODEL_I, 3, 0.1, 0.5)
+    with pytest.raises(ParameterError):
+        entanglement_fidelity_corrected(code_p, ch, rs_b)
+    with pytest.raises(ParameterError):
+        entanglement_fidelity_corrected(dataclasses.replace(code_b), ch, rs_b)
