@@ -171,16 +171,26 @@ def conditional_probability(i_k: int, i_j: int, p: float, mu: float) -> float:
     return (1.0 - mu) * marginal + (mu if i_k == i_j else 0.0)
 
 
-def _chain_weight(bits_mask: int, n: int, p: float, mu: float) -> float:
-    """Probability of the error string whose bit k-1 is qubit k's flip bit."""
-    prev = bits_mask & 1
-    w = p if prev else 1.0 - p
-    for k in range(1, n):
-        cur = (bits_mask >> k) & 1
-        marginal = p if cur else 1.0 - p
-        w *= (1.0 - mu) * marginal + (mu if cur == prev else 0.0)
-        prev = cur
-    return w
+def _chain_weights(n: int, p: float, mu: float) -> list[float]:
+    """Chain probability of every error string, indexed by mask (bit k-1 = qubit k).
+
+    Built prefix by prefix: appending qubit k+1 as the new high bit multiplies
+    each k-qubit weight by the step factor P(cur | prev), so every weight is
+    P(i_1) * P(i_2 | i_1) * ... multiplied left to right.
+    """
+    q, keep = 1.0 - p, 1.0 - mu
+    # step[cur][prev] = P(i_k = cur | i_{k-1} = prev), as in conditional_probability
+    step = ((keep * q + mu, keep * q), (keep * p, keep * p + mu))
+    weights = [q, p]
+    for _ in range(1, n):
+        half = len(weights) // 2
+        weights = [w * step[cur][m >= half] for cur in (0, 1) for m, w in enumerate(weights)]
+    return weights
+
+
+@lru_cache(maxsize=None)
+def _popcounts(n: int) -> tuple[int, ...]:
+    return tuple(m.bit_count() for m in range(1 << n))
 
 
 @lru_cache(maxsize=None)
@@ -200,7 +210,7 @@ def model1_channel(params: ChannelParams) -> NoiseChannel:
         raise ParameterError(f"params.model must be {MODEL_I} for model1_channel")
     n, p, mu = params.n, params.p, params.mu
     strings = _flavored_strings(n, params.flavor)
-    terms = tuple((_chain_weight(m, n, p, mu), op) for m, op in enumerate(strings))
+    terms = tuple(zip(_chain_weights(n, p, mu), strings))
     return _checked(NoiseChannel(n, terms, MODEL_I, params.flavor, p, mu))
 
 
@@ -214,11 +224,9 @@ def model2_channel(params: ChannelParams) -> NoiseChannel:
         raise ParameterError(f"params.model must be {MODEL_II} for model2_channel")
     n, p, mu = params.n, params.p, params.mu
     strings = _flavored_strings(n, params.flavor)
-    terms = []
-    for m, op in enumerate(strings):
-        k = m.bit_count()
-        iid = p**k * (1.0 - p) ** (n - k)
-        terms.append(((1.0 - mu) * iid, op))
+    # memoryless weight of a string with k flips, scaled by (1 - mu)
+    by_flips = [(1.0 - mu) * (p**k * (1.0 - p) ** (n - k)) for k in range(n + 1)]
+    terms = [(by_flips[k], op) for k, op in zip(_popcounts(n), strings)]
     survive = (1.0 - p) ** n
     terms.append((mu * survive, strings[0]))
     terms.append((mu * (1.0 - survive), strings[-1]))

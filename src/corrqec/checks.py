@@ -2,7 +2,8 @@
 
 Each suite returns a :class:`SuiteResult`; the CLI ``verify`` command and the
 acceptance tests both run these.  ``inject`` perturbs one closed form by 1e-6
-(keyed 'scheme-modelN') so the failure path itself is testable.
+(keyed 'scheme-modelN', one of ``CLOSED_FORM_KEYS``) so the failure path
+itself is testable; it is refused when no selected suite would read it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .channels import (
 )
 from .errors import ParameterError
 from .fidelity import (
+    CLOSED_FORM_KEYS,
     closed_form,
     dense_oracle_fidelity,
     entanglement_fidelity_corrected,
@@ -72,6 +74,11 @@ def closed_form_agreement(grid_steps: int = 21, inject: str | None = None) -> Su
     if grid_steps < 1:
         # an empty grid would check nothing and pass
         raise ParameterError(f"closed-form grid needs >= 1 step per axis, got {grid_steps}")
+    if inject is not None and inject not in CLOSED_FORM_KEYS:
+        # an unknown key would perturb nothing and pass
+        raise ParameterError(
+            f"cannot inject an error into {inject!r}; known: {', '.join(CLOSED_FORM_KEYS)}"
+        )
     grid = np.linspace(0.0, 1.0, grid_steps)
     worst = 0.0
     worst_case = ""
@@ -300,6 +307,9 @@ def run_suites(
     inject: str | None = None,
 ) -> list[SuiteResult]:
     selected = names if names is not None else list(SUITES)
+    if inject is not None and "closed-form" not in selected:
+        # no other suite reads the injected error, so the run would pass
+        raise ParameterError("an injected error needs the closed-form suite")
     results = []
     for name in selected:
         if name not in SUITES:

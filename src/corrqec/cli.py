@@ -11,6 +11,7 @@ import sys
 from .channels import ChannelParams, build_channel
 from .checks import SUITES, run_suites
 from .errors import CapacityError, DimensionError, ParameterError, UnsupportedPairError
+from .fidelity import CLOSED_FORM_KEYS
 from .recovery import (
     alternative_maximal_sets,
     correctable_set,
@@ -84,8 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run a single suite (default: all)")
     ver.add_argument("--grid", type=positive_int, default=21,
                      help="closed-form agreement grid steps per axis")
-    ver.add_argument("--inject-error", default=None, metavar="SCHEME-MODELN",
-                     help="test hook: perturb one closed form, e.g. concat6-model1")
+    ver.add_argument("--inject-error", choices=CLOSED_FORM_KEYS, default=None,
+                     metavar="SCHEME-MODELN",
+                     help="test hook for the closed-form suite: perturb one closed form, "
+                          "e.g. concat6-model1")
 
     cor = sub.add_parser("correctable", help="list correctable/detectable operators")
     cor.add_argument("--scheme", required=True,

@@ -33,7 +33,6 @@ probability p; threshold curves report where that holds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,25 +148,32 @@ def entanglement_fidelity_unencoded(channel: NoiseChannel) -> float:
 
 
 def dense_oracle_fidelity(code: QuantumCode, channel: NoiseChannel, rs: RecoverySet) -> float:
-    """Same fidelity sum via dense matrices and an explicit code projector."""
+    """Same fidelity sum via dense matrices and an explicit code projector.
+
+    The rows P R_l are stacked once per call, from recovery matrices
+    streamed one at a time; each Kraus term then costs one dense Pauli and
+    one matrix-vector product.  ``code`` must be ``rs.code``, as for the
+    sparse kernel.
+    """
     if code.n > 6:
         raise CapacityError(f"dense oracle supports n <= 6, got {code.n}")
     if channel.n != code.n:
         raise DimensionError(f"channel acts on {channel.n} qubits, code has {code.n}")
+    if code is not rs.code:
+        raise ParameterError("recovery set was built for a different code")
     d0 = code.logical_zero.dense()
     d1 = code.logical_one.dense()
     proj = np.outer(d0, d0.conj()) + np.outer(d1, d1.conj())
-    # tr[P R A P] = tr[(P R) A] = sum_ij (P R)_ij A_ji; P R replaces R in
-    # place, so no more matrices are held than recovery_dense returns
-    projected = recovery_dense(rs)
-    for i, rmat in enumerate(projected):
-        projected[i] = (proj @ rmat).ravel()
+    # tr[P R A P] = tr[(P R) A] = sum_ij (P R)_ij A_ji: with row l holding
+    # (P R_l)^T flattened, one mat-vec with A flattened gives every trace
+    dim = 1 << code.n
+    projected = np.empty((len(rs.ops) + bool(rs.complement), dim * dim), dtype=complex)
+    for row, rmat in zip(projected, recovery_dense(rs)):
+        row[:] = (proj @ rmat).T.ravel()
     total = 0.0
     for w, op in channel.terms:
-        a_transposed = (math.sqrt(w) * op.dense()).T.ravel()
-        for row in projected:
-            t = row @ a_transposed
-            total += t.real**2 + t.imag**2
+        t = projected @ op.dense().ravel()
+        total += w * np.vdot(t, t).real
     return float(total / 4.0)
 
 

@@ -31,6 +31,15 @@ NORM_TOL = 1e-12
 
 _UNITS = (1 + 0j, 1j, -1 + 0j, -1j)
 
+# single-qubit factors of dense(), indexed by x_bit + 2 * z_bit; XZ is written
+# out because a matmul at import time would initialise BLAS for every process
+_DENSE_FACTORS = (
+    np.array([[1, 0], [0, 1]], dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+    np.array([[0, -1], [1, 0]], dtype=complex),
+)
+
 
 @dataclass(frozen=True)
 class PauliString:
@@ -81,15 +90,17 @@ class PauliString:
         return PauliString(self.n, self.x_mask, self.z_mask, k)
 
     def dense(self) -> np.ndarray:
-        """2^n x 2^n matrix; qubit 1 is the least significant index bit."""
-        eye = np.eye(2, dtype=complex)
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        z = np.array([[1, 0], [0, -1]], dtype=complex)
-        factors = {(0, 0): eye, (1, 0): x, (0, 1): z, (1, 1): x @ z}
-        m = np.array([[1.0 + 0j]])
-        for q in reversed(range(self.n)):
-            m = np.kron(m, factors[(self.x_mask >> q) & 1, (self.z_mask >> q) & 1])
-        return self.sign * m
+        """2^n x 2^n matrix; qubit 1 is the least significant index bit.
+
+        The Kronecker product sign * F_n (x) ... (x) F_1, built from qubit 1
+        outwards as m <- F_q (x) m, with m the contiguous inner block.
+        """
+        m = np.array([[self.sign]])
+        for q in range(self.n):
+            f = _DENSE_FACTORS[((self.x_mask >> q) & 1) + 2 * ((self.z_mask >> q) & 1)]
+            r = m.shape[0]
+            m = (f[:, None, :, None] * m[None, :, None, :]).reshape(2 * r, 2 * r)
+        return m
 
     def label(self) -> str:
         """Human-readable name, e.g. 'X1X2X3', 'Z2', '-X1Z1', 'I'."""

@@ -28,6 +28,7 @@ index and attached as the projector R_perp.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -277,17 +278,18 @@ def _complement_basis(
     ]
 
 
-def recovery_dense(rs: RecoverySet) -> list[np.ndarray]:
-    """All recovery operators (plus the complement projector) as dense matrices."""
+def recovery_dense(rs: RecoverySet) -> Iterator[np.ndarray]:
+    """The recovery operators (then the complement projector) as dense matrices.
+
+    Yields one matrix at a time, so a caller that consumes each one holds a
+    single matrix rather than all of them.
+    """
     d0 = rs.code.logical_zero.dense()
     d1 = rs.code.logical_one.dense()
-    mats = [
-        np.outer(d0, op.v0.dense().conj()) + np.outer(d1, op.v1.dense().conj())
-        for op in rs.ops
-    ]
+    for op in rs.ops:
+        yield np.outer(d0, op.v0.dense().conj()) + np.outer(d1, op.v1.dense().conj())
     if rs.complement:
-        mats.append(sum(np.outer(r.dense(), r.dense().conj()) for r in rs.complement))
-    return mats
+        yield sum(np.outer(r.dense(), r.dense().conj()) for r in rs.complement)
 
 
 def trace_preservation_deviation(rs: RecoverySet) -> float:

@@ -15,7 +15,7 @@ from corrqec.channels import (
 )
 from corrqec.errors import CapacityError, ParameterError
 
-from _oracles import choi_matrix, dense_pauli
+from _oracles import choi_matrix, dense_pauli, model1_weights, model2_weights
 
 
 def params(p, mu, n, model=MODEL_I, flavor="bit"):
@@ -230,3 +230,19 @@ def test_merged_is_sorted_and_normalized():
     masks = [op.x_mask for _, op in channel.terms]
     assert masks == sorted(masks)
     assert abs(channel.total_weight() - 1.0) < 1e-12
+
+
+WEIGHT_EDGE_VALUES = (0.0, 1.0, 5e-324, 1e-300, 1.0 - 2**-53, 1.0 / 3.0, 0.1, 0.9)
+
+
+def test_weights_are_bit_identical_to_per_mask_loops():
+    for n in range(1, 9):
+        for p in WEIGHT_EDGE_VALUES:
+            for mu in WEIGHT_EDGE_VALUES:
+                for model, build, reference in (
+                    (MODEL_I, model1_channel, model1_weights),
+                    (MODEL_II, model2_channel, model2_weights),
+                ):
+                    got = [w for w, _ in build(params(p, mu, n, model)).terms]
+                    want = reference(n, p, mu)
+                    assert [w.hex() for w in got] == [w.hex() for w in want], (model, n, p, mu)

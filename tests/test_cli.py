@@ -182,6 +182,24 @@ def test_verify_injected_error_names_case(capsys):
     assert "concat6-model1" in out
 
 
+def test_inject_error_must_name_a_published_closed_form(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "closed-form", "--grid", "2",
+              "--inject-error", "concat6-model3"])
+    assert exc.value.code == 2
+    with pytest.raises(ParameterError):
+        closed_form_agreement(2, inject="concat6-model3")
+
+
+def test_inject_error_needs_the_closed_form_suite(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "endpoints", "--inject-error", "concat6-model1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_verify_single_suite_census(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "correctable")
     assert code == 0

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from _oracles import per_point_fidelity
+from _oracles import per_point_fidelity, per_row_dense_fidelity
 from corrqec import fidelity
 
 from corrqec.channels import (
@@ -143,6 +143,25 @@ def test_dense_oracle_capacity_limit():
     _, rs = scheme_recovery("bit3", "bit")
     with pytest.raises(CapacityError):
         dense_oracle_fidelity(big, channel(MODEL_I, 3, 0.1, 0.1), rs)
+
+
+def test_dense_oracle_matches_per_row_loop_on_concat6():
+    code, rs = scheme_recovery("concat6", "bit")
+    for model in (MODEL_I, MODEL_II):
+        for p, mu in ((0.1, 0.5), (0.37, 0.91), (1.0 / 3.0, 0.0), (0.9, 1.0), (0.0, 0.2)):
+            ch = channel(model, 6, p, mu)
+            got = dense_oracle_fidelity(code, ch, rs)
+            assert abs(got - per_row_dense_fidelity(code, ch, rs)) <= 1e-14, (model, p, mu)
+
+
+def test_dense_oracle_rejects_a_code_other_than_the_recovery_sets():
+    code_b, rs_b = scheme_recovery("bit3", "bit")
+    code_p, _ = scheme_recovery("bit3", "phase")
+    ch = channel(MODEL_I, 3, 0.1, 0.3)
+    with pytest.raises(ParameterError):
+        dense_oracle_fidelity(code_p, ch, rs_b)
+    with pytest.raises(ParameterError):
+        dense_oracle_fidelity(dataclasses.replace(code_b), ch, rs_b)
 
 
 def test_complement_terms_have_zero_trace():

@@ -19,6 +19,20 @@ from corrqec.pauli import (
 from _oracles import dense_pauli, dense_state
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dense_equals_kron_oracle_exhaustive_small(n):
+    for x, z, phase in itertools.product(range(1 << n), range(1 << n), range(4)):
+        got = PauliString(n, x, z, phase).dense()
+        assert got.dtype == complex
+        assert np.array_equal(got, dense_pauli(n, x, z, phase)), (x, z, phase)
+
+
+def test_dense_equals_kron_oracle_for_six_qubit_strings():
+    for mask in range(1 << 6):
+        assert np.array_equal(PauliString.x_string(6, mask).dense(), dense_pauli(6, mask, 0))
+        assert np.array_equal(PauliString.z_string(6, mask).dense(), dense_pauli(6, 0, mask))
+
+
 def test_multiply_x_squares_to_identity():
     x1 = PauliString.x_string(2, 0b01)
     prod = multiply(x1, x1)
