@@ -8,24 +8,19 @@ from .channels import (
     ChannelParams,
     NoiseChannel,
     build_channel,
-    channel_from_json_dict,
-    conditional_probability,
     model1_channel,
     model2_channel,
     phase_flavor,
 )
 from .codes import (
     QuantumCode,
-    apply_cnot,
     bitflip3,
-    code_from_json_dict,
     concatenate,
     dfs2,
     hadamard_conjugate_code,
     hadamard_transform,
     pattern_state,
     phaseflip3,
-    trivial_code,
 )
 from .errors import (
     CapacityError,
@@ -57,7 +52,6 @@ from .pauli import (
     multiply,
 )
 from .recovery import (
-    DetectabilityReport,
     RecoveryOp,
     RecoverySet,
     alternative_maximal_sets,
@@ -66,9 +60,7 @@ from .recovery import (
     detectable_set,
     is_detectable,
     non_detectable_set,
-    operators_to_json,
     trace_preservation_deviation,
-    verify_trace_preserving,
 )
 from .schemes import BASE_SCHEMES, build_code, resolve_scheme, scheme_qubits, scheme_recovery
 

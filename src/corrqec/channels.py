@@ -44,9 +44,6 @@ MAX_CHANNEL_QUBITS = 16
 
 WEIGHT_SUM_TOL = 1e-12
 
-_SIGN_PAIRS = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}
-_PAIR_PHASES = {v: k for k, v in _SIGN_PAIRS.items()}
-
 
 def _check_unit(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
@@ -85,11 +82,6 @@ class NoiseChannel:
 
     n: int
     terms: tuple[tuple[float, PauliString], ...]
-    model: int | None = None
-    flavor: str = FLAVOR_BIT
-    p: float | None = None
-    mu: float | None = None
-    is_merged: bool = False
 
     def total_weight(self) -> float:
         return sum(w for w, _ in self.terms)
@@ -104,8 +96,7 @@ class NoiseChannel:
     def merged(self) -> "NoiseChannel":
         """Deduplicate identical Paulis by adding their weights.
 
-        The merged list is sorted by (x_mask, z_mask, phase) for reproducible
-        golden files.
+        The merged list is sorted by (x_mask, z_mask, phase).
         """
         acc: dict[tuple[int, int, int], float] = {}
         ops: dict[tuple[int, int, int], PauliString] = {}
@@ -114,61 +105,7 @@ class NoiseChannel:
             acc[key] = acc.get(key, 0.0) + w
             ops[key] = op
         terms = tuple((acc[key], ops[key]) for key in sorted(acc))
-        return NoiseChannel(
-            self.n, terms, self.model, self.flavor, self.p, self.mu, is_merged=True
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "flavor": self.flavor,
-            "n": self.n,
-            "p": self.p,
-            "mu": self.mu,
-            "kraus": [
-                {
-                    "weight": w,
-                    "x_mask": op.x_mask,
-                    "z_mask": op.z_mask,
-                    "sign": list(_SIGN_PAIRS[op.phase]),
-                }
-                for w, op in self.terms
-            ],
-        }
-
-
-def channel_from_json_dict(doc: dict) -> NoiseChannel:
-    n = doc["n"]
-    terms = tuple(
-        (
-            float(entry["weight"]),
-            PauliString(
-                n,
-                entry["x_mask"],
-                entry["z_mask"],
-                _PAIR_PHASES[tuple(entry["sign"])],
-            ),
-        )
-        for entry in doc["kraus"]
-    )
-    return NoiseChannel(
-        n=n,
-        terms=terms,
-        model=doc.get("model"),
-        flavor=doc.get("flavor", FLAVOR_BIT),
-        p=doc.get("p"),
-        mu=doc.get("mu"),
-    )
-
-
-def conditional_probability(i_k: int, i_j: int, p: float, mu: float) -> float:
-    """P(current error bit = i_k | previous bit = i_j) for the Markov chain."""
-    if i_k not in (0, 1) or i_j not in (0, 1):
-        raise ParameterError("error bits must be 0 or 1")
-    _check_unit("p", p)
-    _check_unit("mu", mu)
-    marginal = p if i_k == 1 else 1.0 - p
-    return (1.0 - mu) * marginal + (mu if i_k == i_j else 0.0)
+        return NoiseChannel(self.n, terms)
 
 
 def _chain_weights(n: int, p: float, mu: float) -> list[float]:
@@ -179,7 +116,7 @@ def _chain_weights(n: int, p: float, mu: float) -> list[float]:
     P(i_1) * P(i_2 | i_1) * ... multiplied left to right.
     """
     q, keep = 1.0 - p, 1.0 - mu
-    # step[cur][prev] = P(i_k = cur | i_{k-1} = prev), as in conditional_probability
+    # step[cur][prev] = P(i_k = cur | i_{k-1} = prev)
     step = ((keep * q + mu, keep * q), (keep * p, keep * p + mu))
     weights = [q, p]
     for _ in range(1, n):
@@ -211,7 +148,7 @@ def model1_channel(params: ChannelParams) -> NoiseChannel:
     n, p, mu = params.n, params.p, params.mu
     strings = _flavored_strings(n, params.flavor)
     terms = tuple(zip(_chain_weights(n, p, mu), strings))
-    return _checked(NoiseChannel(n, terms, MODEL_I, params.flavor, p, mu))
+    return _checked(NoiseChannel(n, terms))
 
 
 def model2_channel(params: ChannelParams) -> NoiseChannel:
@@ -230,7 +167,7 @@ def model2_channel(params: ChannelParams) -> NoiseChannel:
     survive = (1.0 - p) ** n
     terms.append((mu * survive, strings[0]))
     terms.append((mu * (1.0 - survive), strings[-1]))
-    return _checked(NoiseChannel(n, tuple(terms), MODEL_II, params.flavor, p, mu))
+    return _checked(NoiseChannel(n, tuple(terms)))
 
 
 def build_channel(params: ChannelParams) -> NoiseChannel:
@@ -241,11 +178,8 @@ def build_channel(params: ChannelParams) -> NoiseChannel:
 
 def phase_flavor(channel: NoiseChannel) -> NoiseChannel:
     """Hadamard-conjugate every Kraus operator; weights unchanged."""
-    flavor = FLAVOR_PHASE if channel.flavor == FLAVOR_BIT else FLAVOR_BIT
     terms = tuple((w, hadamard_conjugate(op)) for w, op in channel.terms)
-    return NoiseChannel(
-        channel.n, terms, channel.model, flavor, channel.p, channel.mu, channel.is_merged
-    )
+    return NoiseChannel(channel.n, terms)
 
 
 def _checked(channel: NoiseChannel) -> NoiseChannel:

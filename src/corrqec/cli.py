@@ -129,10 +129,8 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
         p_values=_values(args.p, args.p_range, "p"),
         mu_values=_values(args.mu, args.mu_range, "mu"),
         flavor=args.flavor,
-        output_format=args.format,
-        output_path=args.output,
     )
-    _emit(render_fidelity(run_sweep(spec), spec.output_format), spec.output_path)
+    _emit(render_fidelity(run_sweep(spec), args.format), args.output)
     return 0
 
 

@@ -53,31 +53,6 @@ class QuantumCode:
                 f"codewords of {self.label!r} are not orthogonal: <0L|1L> = {overlap}"
             )
 
-    def codewords(self) -> tuple[SparseState, SparseState]:
-        return self.logical_zero, self.logical_one
-
-    def to_json_dict(self) -> dict:
-        def dump(state: SparseState) -> list[dict]:
-            return [
-                {"index": i, "re": a.real, "im": a.imag}
-                for i, a in sorted(state.amplitudes.items())
-            ]
-
-        return {
-            "label": self.label,
-            "n": self.n,
-            "codewords": [dump(self.logical_zero), dump(self.logical_one)],
-        }
-
-
-def code_from_json_dict(doc: dict) -> QuantumCode:
-    n = doc["n"]
-    states = [
-        SparseState(n, {e["index"]: complex(e["re"], e["im"]) for e in cw})
-        for cw in doc["codewords"]
-    ]
-    return QuantumCode(n, states[0], states[1], doc["label"])
-
 
 def pattern_state(pattern: str) -> SparseState:
     """Product state from a string over '0', '1', '+', '-'; qubit 1 first."""
@@ -117,11 +92,6 @@ def dfs2(flavor: str = "bit") -> QuantumCode:
     if flavor == "phase":
         return QuantumCode(2, pattern_state("01"), pattern_state("10"), "dfs2-phase")
     raise ParameterError(f"flavor must be 'bit' or 'phase', got {flavor!r}")
-
-
-def trivial_code() -> QuantumCode:
-    """Identity encoding |0> -> |0>, |1> -> |1>; neutral for concatenation."""
-    return QuantumCode(1, basis_state(1, 0), basis_state(1, 1), "trivial")
 
 
 def concatenate(top: QuantumCode, bottom: QuantumCode, label: str | None = None) -> QuantumCode:
@@ -175,15 +145,3 @@ def hadamard_conjugate_code(code: QuantumCode, label: str | None = None) -> Quan
         hadamard_transform(code.logical_one),
         label if label is not None else f"H[{code.label}]",
     )
-
-
-def apply_cnot(state: SparseState, control: int, target: int) -> SparseState:
-    """CNOT with 0-based qubit indices, as an explicit sparse-state map."""
-    if not (0 <= control < state.n and 0 <= target < state.n) or control == target:
-        raise ParameterError(f"invalid CNOT qubits ({control}, {target}) for n={state.n}")
-    out: dict[int, complex] = {}
-    for idx, amp in state.amplitudes.items():
-        if (idx >> control) & 1:
-            idx ^= 1 << target
-        out[idx] = out.get(idx, 0j) + amp
-    return SparseState(state.n, out)

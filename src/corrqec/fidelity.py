@@ -44,7 +44,6 @@ from .channels import (
     NoiseChannel,
     build_channel,
 )
-from .codes import QuantumCode
 from .errors import (
     CapacityError,
     ContractViolationError,
@@ -89,18 +88,10 @@ class ThresholdPoint:
     regions: tuple[tuple[float, float], ...]
 
 
-def entanglement_fidelity_corrected(
-    code: QuantumCode, channel: NoiseChannel, rs: RecoverySet
-) -> float:
-    """Fidelity of recovery-after-channel on the code's logical qubit.
-
-    ``code`` must be ``rs.code``: the restricted traces memoized on ``rs``
-    hold for that code only.
-    """
-    if channel.n != code.n:
-        raise DimensionError(f"channel acts on {channel.n} qubits, code has {code.n}")
-    if code is not rs.code:
-        raise ParameterError("recovery set was built for a different code")
+def entanglement_fidelity_corrected(channel: NoiseChannel, rs: RecoverySet) -> float:
+    """Fidelity of recovery-after-channel on the logical qubit of ``rs.code``."""
+    if channel.n != rs.code.n:
+        raise DimensionError(f"channel acts on {channel.n} qubits, code has {rs.code.n}")
     memo = rs.restricted_traces
     total = 0.0
     for w, op in channel.terms:
@@ -147,20 +138,18 @@ def entanglement_fidelity_unencoded(channel: NoiseChannel) -> float:
     return total / (dim * dim)
 
 
-def dense_oracle_fidelity(code: QuantumCode, channel: NoiseChannel, rs: RecoverySet) -> float:
+def dense_oracle_fidelity(channel: NoiseChannel, rs: RecoverySet) -> float:
     """Same fidelity sum via dense matrices and an explicit code projector.
 
     The rows P R_l are stacked once per call, from recovery matrices
     streamed one at a time; each Kraus term then costs one dense Pauli and
-    one matrix-vector product.  ``code`` must be ``rs.code``, as for the
-    sparse kernel.
+    one matrix-vector product.
     """
+    code = rs.code
     if code.n > 6:
         raise CapacityError(f"dense oracle supports n <= 6, got {code.n}")
     if channel.n != code.n:
         raise DimensionError(f"channel acts on {channel.n} qubits, code has {code.n}")
-    if code is not rs.code:
-        raise ParameterError("recovery set was built for a different code")
     d0 = code.logical_zero.dense()
     d1 = code.logical_one.dense()
     proj = np.outer(d0, d0.conj()) + np.outer(d1, d1.conj())
@@ -273,8 +262,8 @@ def evaluate(
     if base == "unencoded":
         f = entanglement_fidelity_unencoded(channel)
     else:
-        code, rs = scheme_recovery(base, "bit")
-        f = entanglement_fidelity_corrected(code, channel, rs)
+        _, rs = scheme_recovery(base, "bit")
+        f = entanglement_fidelity_corrected(channel, rs)
     cf = closed_form(base, model, mu, p) if has_closed_form(base, model) else None
     return FidelityResult(
         mu=mu,
@@ -297,11 +286,7 @@ def failure_probability(
 
 
 def threshold_mu(
-    scheme: str,
-    model: int,
-    p: float,
-    flavor: str | None = None,
-    grid_points: int = THRESHOLD_GRID_POINTS,
+    scheme: str, model: int, p: float, flavor: str | None = None
 ) -> ThresholdPoint:
     """Where, in mu, the scheme beats the bare error probability p.
 
@@ -314,7 +299,7 @@ def threshold_mu(
     def excess(mu: float) -> float:
         return failure_probability(scheme, model, mu, p, flavor) - p
 
-    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 1.0, THRESHOLD_GRID_POINTS)
     values = [excess(float(mu)) for mu in grid]
 
     def status(v: float) -> int:
@@ -343,12 +328,12 @@ def threshold_mu(
     regions: list[tuple[float, float]] = []
     crossings: list[float] = []
     i = 0
-    while i < grid_points:
+    while i < THRESHOLD_GRID_POINTS:
         if statuses[i] > 0:
             i += 1
             continue
         j = i
-        while j + 1 < grid_points and statuses[j + 1] <= 0:
+        while j + 1 < THRESHOLD_GRID_POINTS and statuses[j + 1] <= 0:
             j += 1
         if any(statuses[k] < 0 for k in range(i, j + 1)):
             if i == 0:
@@ -360,7 +345,7 @@ def threshold_mu(
             else:
                 lo = bisect(float(grid[i - 1]), float(grid[i]), values[i - 1])
                 crossings.append(lo)
-            if j == grid_points - 1:
+            if j == THRESHOLD_GRID_POINTS - 1:
                 hi = 1.0
             elif statuses[j] == 0:
                 hi = float(grid[j])

@@ -39,13 +39,8 @@ from .errors import ContractViolationError, DimensionError, ParameterError
 from .pauli import PauliString, SparseState, apply_to_state, matrix_element, multiply
 
 DETECT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class DetectabilityReport:
-    op: PauliString
-    detectable: bool
-    lam: complex | None
+# seeded reorderings of each kind tried by alternative_maximal_sets
+ALTERNATIVE_TRIES = 8
 
 
 @dataclass(frozen=True)
@@ -74,44 +69,8 @@ class RecoverySet:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def to_json_dict(self) -> dict:
-        def dump(state: SparseState) -> list[dict]:
-            return [
-                {"index": i, "re": a.real, "im": a.imag}
-                for i, a in sorted(state.amplitudes.items())
-            ]
 
-        return {
-            "code": self.code.label,
-            "n": self.code.n,
-            "recovery_ops": [
-                {
-                    "members": [m.label() for m in op.members],
-                    "v0": dump(op.v0),
-                    "v1": dump(op.v1),
-                }
-                for op in self.ops
-            ],
-            "complement": [dump(r) for r in self.complement],
-        }
-
-
-def operators_to_json(ops: list[PauliString]) -> list[dict]:
-    """Correctable/detectable sets as JSON rows, for golden-file regression."""
-    sign_pairs = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}
-    return [
-        {
-            "label": op.label(),
-            "weight": op.weight,
-            "x_mask": op.x_mask,
-            "z_mask": op.z_mask,
-            "sign": list(sign_pairs[op.phase]),
-        }
-        for op in ops
-    ]
-
-
-def is_detectable(code: QuantumCode, op: PauliString, tol: float = DETECT_TOL) -> DetectabilityReport:
+def is_detectable(code: QuantumCode, op: PauliString) -> bool:
     if op.n != code.n:
         raise DimensionError(f"operator acts on {op.n} qubits, code has {code.n}")
     zero, one = code.logical_zero, code.logical_one
@@ -119,8 +78,7 @@ def is_detectable(code: QuantumCode, op: PauliString, tol: float = DETECT_TOL) -
     m11 = matrix_element(one, op, one)
     m01 = matrix_element(zero, op, one)
     m10 = matrix_element(one, op, zero)
-    ok = abs(m00 - m11) <= tol and abs(m01) <= tol and abs(m10) <= tol
-    return DetectabilityReport(op, ok, m00 if ok else None)
+    return abs(m00 - m11) <= DETECT_TOL and abs(m01) <= DETECT_TOL and abs(m10) <= DETECT_TOL
 
 
 def _sorted_candidates(channel: NoiseChannel) -> list[PauliString]:
@@ -130,39 +88,35 @@ def _sorted_candidates(channel: NoiseChannel) -> list[PauliString]:
     return sorted(ops, key=lambda op: (op.weight, op.x_mask, op.z_mask, op.phase))
 
 
-def detectable_set(code: QuantumCode, channel: NoiseChannel, tol: float = DETECT_TOL) -> list[PauliString]:
-    return [op for op in _sorted_candidates(channel) if is_detectable(code, op, tol).detectable]
+def detectable_set(code: QuantumCode, channel: NoiseChannel) -> list[PauliString]:
+    return [op for op in _sorted_candidates(channel) if is_detectable(code, op)]
 
 
-def non_detectable_set(code: QuantumCode, channel: NoiseChannel, tol: float = DETECT_TOL) -> list[PauliString]:
-    return [op for op in _sorted_candidates(channel) if not is_detectable(code, op, tol).detectable]
+def non_detectable_set(code: QuantumCode, channel: NoiseChannel) -> list[PauliString]:
+    return [op for op in _sorted_candidates(channel) if not is_detectable(code, op)]
 
 
-def _greedy(code: QuantumCode, candidates: list[PauliString], tol: float) -> list[PauliString]:
+def _greedy(code: QuantumCode, candidates: list[PauliString]) -> list[PauliString]:
     accepted: list[PauliString] = []
     for cand in candidates:
         if all(
-            is_detectable(code, multiply(prev.dagger(), cand), tol).detectable
-            for prev in accepted
-        ) and is_detectable(code, cand, tol).detectable:
+            is_detectable(code, multiply(prev.dagger(), cand)) for prev in accepted
+        ) and is_detectable(code, cand):
             accepted.append(cand)
     return accepted
 
 
-def correctable_set(code: QuantumCode, channel: NoiseChannel, tol: float = DETECT_TOL) -> list[PauliString]:
+def correctable_set(code: QuantumCode, channel: NoiseChannel) -> list[PauliString]:
     """Maximal-by-greedy subset with all pairwise products detectable.
 
     Zero-weight channel operators remain eligible, so the result depends on
     the channel's operator support, not on (p, mu).
     """
-    return _greedy(code, _sorted_candidates(channel), tol)
+    return _greedy(code, _sorted_candidates(channel))
 
 
 def alternative_maximal_sets(
-    code: QuantumCode,
-    channel: NoiseChannel,
-    tries: int = 8,
-    tol: float = DETECT_TOL,
+    code: QuantumCode, channel: NoiseChannel
 ) -> list[tuple[PauliString, ...]]:
     """Diagnostic: same-size correctable sets reachable under candidate reordering.
 
@@ -172,7 +126,7 @@ def alternative_maximal_sets(
     Returns the distinct sets (excluding the canonical one) of equal size;
     the canonical set is never replaced.
     """
-    canonical = tuple(correctable_set(code, channel, tol))
+    canonical = tuple(correctable_set(code, channel))
     candidates = _sorted_candidates(channel)
     by_weight: dict[int, list[PauliString]] = {}
     for op in candidates:
@@ -188,9 +142,9 @@ def alternative_maximal_sets(
 
     orderings = [order(lambda block: block.reverse())]
     rng = random.Random(0)
-    for _ in range(tries):
+    for _ in range(ALTERNATIVE_TRIES):
         orderings.append(order(rng.shuffle))
-    for _ in range(tries):
+    for _ in range(ALTERNATIVE_TRIES):
         full = list(candidates)
         rng.shuffle(full)
         orderings.append(full)
@@ -198,7 +152,7 @@ def alternative_maximal_sets(
     canonical_key = frozenset((op.x_mask, op.z_mask, op.phase) for op in canonical)
     found: dict[frozenset, tuple[PauliString, ...]] = {}
     for candidates in orderings:
-        result = tuple(_greedy(code, candidates, tol))
+        result = tuple(_greedy(code, candidates))
         if len(result) != len(canonical):
             continue
         key = frozenset((op.x_mask, op.z_mask, op.phase) for op in result)
@@ -207,11 +161,7 @@ def alternative_maximal_sets(
     return list(found.values())
 
 
-def build_recovery(
-    code: QuantumCode,
-    correctable: list[PauliString],
-    tol: float = DETECT_TOL,
-) -> RecoverySet:
+def build_recovery(code: QuantumCode, correctable: list[PauliString]) -> RecoverySet:
     """Synthesize the recovery set for a correctable operator list."""
     if not correctable:
         raise ParameterError("correctable operator list is empty")
@@ -223,10 +173,14 @@ def build_recovery(
         for v0, v1, members in groups:
             c00, c10 = v0.inner(y0), v1.inner(y0)
             c01, c11 = v0.inner(y1), v1.inner(y1)
-            if max(abs(c00), abs(c10), abs(c01), abs(c11)) <= tol:
+            if max(abs(c00), abs(c10), abs(c01), abs(c11)) <= DETECT_TOL:
                 continue  # orthogonal to this syndrome subspace
-            same = abs(abs(c00) - 1.0) <= tol and abs(c10) <= tol and abs(c01) <= tol
-            if not same or abs(c11 - c00) > tol:
+            same = (
+                abs(abs(c00) - 1.0) <= DETECT_TOL
+                and abs(c10) <= DETECT_TOL
+                and abs(c01) <= DETECT_TOL
+            )
+            if not same or abs(c11 - c00) > DETECT_TOL:
                 raise ContractViolationError(
                     f"syndrome spaces of {op.label()} and {members[0].label()} "
                     "overlap without coinciding"
@@ -235,20 +189,18 @@ def build_recovery(
             placed = True
             break
         if not placed:
-            if abs(y0.inner(y1)) > tol:
+            if abs(y0.inner(y1)) > DETECT_TOL:
                 raise ContractViolationError(
                     f"images of the codewords under {op.label()} are not orthogonal"
                 )
             groups.append((y0, y1, [op]))
 
     ops = tuple(RecoveryOp(v0, v1, tuple(members)) for v0, v1, members in groups)
-    complement = _complement_basis(code.n, ops, tol)
+    complement = _complement_basis(code.n, ops)
     return RecoverySet(code, ops, tuple(complement))
 
 
-def _complement_basis(
-    n: int, ops: tuple[RecoveryOp, ...], tol: float
-) -> list[SparseState]:
+def _complement_basis(n: int, ops: tuple[RecoveryOp, ...]) -> list[SparseState]:
     """Gram-Schmidt completion of the syndrome spaces, seeded by basis kets."""
     dim = 1 << n
     missing = dim - 2 * len(ops)
@@ -289,7 +241,8 @@ def recovery_dense(rs: RecoverySet) -> Iterator[np.ndarray]:
     for op in rs.ops:
         yield np.outer(d0, op.v0.dense().conj()) + np.outer(d1, op.v1.dense().conj())
     if rs.complement:
-        yield sum(np.outer(r.dense(), r.dense().conj()) for r in rs.complement)
+        vectors = [r.dense() for r in rs.complement]
+        yield sum(np.outer(v, v.conj()) for v in vectors)
 
 
 def trace_preservation_deviation(rs: RecoverySet) -> float:
@@ -299,7 +252,3 @@ def trace_preservation_deviation(rs: RecoverySet) -> float:
     for mat in recovery_dense(rs):
         total += mat.conj().T @ mat
     return float(np.abs(total - np.eye(dim)).max())
-
-
-def verify_trace_preserving(rs: RecoverySet, tol: float = DETECT_TOL) -> bool:
-    return trace_preservation_deviation(rs) <= tol

@@ -48,8 +48,9 @@ def parse_range(text: str) -> tuple[float, ...]:
     if lo > hi:
         # rows are emitted in ascending order of each swept parameter
         raise ParameterError(f"range min must not exceed max, got {text!r}")
-    if steps == 1:
-        return (lo,)
+    if steps == 1 and lo < hi:
+        # one point cannot include both endpoints
+        raise ParameterError(f"a single step needs min == max, got {text!r}")
     return tuple(float(v) for v in np.linspace(lo, hi, steps))
 
 
@@ -62,8 +63,6 @@ class SweepSpec:
     p_values: tuple[float, ...]
     mu_values: tuple[float, ...]
     flavor: str | None = None
-    output_format: str = "csv"
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
         if not self.schemes:
@@ -74,8 +73,6 @@ class SweepSpec:
             for v in values:
                 if not 0.0 <= v <= 1.0:
                     raise ParameterError(f"{name} value {v} outside [0, 1]")
-        if self.output_format not in ("csv", "json"):
-            raise ParameterError(f"format must be 'csv' or 'json', got {self.output_format!r}")
 
 
 def run_sweep(spec: SweepSpec) -> list[FidelityResult]:

@@ -58,9 +58,9 @@ def choi_matrix(kraus_dense):
     return choi
 
 
-def per_point_fidelity(code, channel, rs):
+def per_point_fidelity(channel, rs):
     """(1/4) sum_{k,l} w_k |tr[R_l A_k]_C|^2, every trace recomputed per term."""
-    zero, one = code.logical_zero, code.logical_one
+    zero, one = rs.code.logical_zero, rs.code.logical_one
     total = 0.0
     for w, op in channel.terms:
         y0 = apply_to_state(op, zero)
@@ -107,8 +107,9 @@ def model2_weights(n, p, mu):
     return weights + [mu * survive, mu * (1.0 - survive)]
 
 
-def per_row_dense_fidelity(code, channel, rs):
+def per_row_dense_fidelity(channel, rs):
     """(1/4) sum_{k,l} |tr[P R_l sqrt(w_k) A_k]|^2, one dot product per (k, l)."""
+    code = rs.code
     d0, d1 = dense_state(code.logical_zero), dense_state(code.logical_one)
     proj = np.outer(d0, d0.conj()) + np.outer(d1, d1.conj())
     mats = [

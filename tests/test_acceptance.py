@@ -4,7 +4,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion; ``corrqec verify`` exercises the same suites from the CLI.
 """
 
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -122,7 +124,7 @@ def test_criterion_5_structural_suites():
     assert norm.passed and norm.max_deviation < 1e-12, norm.detail
     trace = recovery_trace_preservation()
     assert trace.passed and trace.max_deviation < 1e-10, trace.detail
-    oracle = sparse_dense_agreement(points_per_scheme=30)
+    oracle = sparse_dense_agreement()
     assert oracle.passed and oracle.max_deviation < 1e-10, oracle.detail
     report(
         5,
@@ -133,7 +135,7 @@ def test_criterion_5_structural_suites():
 
 
 def test_criterion_6_flavor_symmetry():
-    result = flavor_symmetry(grid_steps=5)
+    result = flavor_symmetry()
     assert result.passed, result.detail
     # direct byte comparison for one representative pair
     grid = tuple(float(v) for v in np.linspace(0.0, 1.0, 5))
@@ -180,3 +182,14 @@ def test_criterion_7_figure_data_emission():
     assert bit[0.29] < 0.1 and bit[0.30] > 0.1
     assert all(r.failure_prob < 0.1 for r in by_scheme["concat6"])
     report(7, "figure-data emission", f"303 rows in {elapsed:.2f}s, crossings verified")
+
+
+def test_readme_library_sketch_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Library sketch"):]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(block, namespace)
+    assert abs(namespace["r"].f_numeric - 0.972784) < 1e-12
+    assert namespace["f"] == namespace["r"].f_numeric
+    assert abs(namespace["tp"].mu_star - 4.0 / 9.0) < 1e-6

@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
-from corrqec import cli
-from corrqec.checks import closed_form_agreement
+from corrqec import checks, cli
+from corrqec.channels import ChannelParams, model1_channel
+from corrqec.checks import closed_form_agreement, flavor_symmetry
+from corrqec.codes import concatenate, dfs2, phaseflip3
 from corrqec.cli import main
 from corrqec.errors import (
     CapacityError,
@@ -13,6 +15,7 @@ from corrqec.errors import (
     ParameterError,
     UnsupportedPairError,
 )
+from corrqec.recovery import build_recovery, correctable_set
 from corrqec.sweep import CSV_HEADER, THRESHOLD_CSV_HEADER, parse_range
 
 
@@ -296,3 +299,36 @@ def test_descending_range_is_refused(capsys):
     )
     assert code == 2 and out == ""
     assert "0.9:0.1:3" in err
+
+
+def test_single_step_range_needs_equal_endpoints(capsys):
+    assert parse_range("0.3:0.3:1") == (0.3,)
+    with pytest.raises(ParameterError):
+        parse_range("0.05:0.45:1")
+    code, out, err = run_cli(
+        capsys, "fidelity", "--model", "1", "--scheme", "dfs2",
+        "--p-range", "0.05:0.45:1", "--mu", "0.5",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_flavor_symmetry_suite_fails_on_a_wrong_phase_code(capsys, monkeypatch):
+    # |+++--->/|---+++> is not the Hadamard mirror of the bit-flavor concat6
+    # code: at p=0.2, mu=0.4 (model 1) its fidelity is 0.882 against 0.758
+    wrong = concatenate(dfs2("phase"), phaseflip3())
+    support = model1_channel(ChannelParams(p=0.5, mu=0.5, n=6, flavor="phase"))
+    wrong_rs = build_recovery(wrong, correctable_set(wrong, support))
+    real = checks.scheme_recovery
+
+    def patched(base, flavor):
+        if (base, flavor) == ("concat6", "phase"):
+            return wrong, wrong_rs
+        return real(base, flavor)
+
+    monkeypatch.setattr(checks, "scheme_recovery", patched)
+    result = flavor_symmetry()
+    assert not result.passed and result.max_deviation > 0.1
+    code, out, _ = run_cli(capsys, "verify", "--suite", "flavor-symmetry")
+    assert code == 1
+    assert "[FAIL] flavor-symmetry" in out

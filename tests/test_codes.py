@@ -4,19 +4,21 @@ import pytest
 
 from corrqec.codes import (
     QuantumCode,
-    apply_cnot,
     bitflip3,
-    code_from_json_dict,
     concatenate,
     dfs2,
     hadamard_conjugate_code,
     hadamard_transform,
     pattern_state,
     phaseflip3,
-    trivial_code,
 )
 from corrqec.errors import CapacityError, ContractViolationError, ParameterError
 from corrqec.pauli import SparseState, basis_state
+
+
+def identity_code():
+    """|0> -> |0>, |1> -> |1>: the neutral element of concatenation."""
+    return QuantumCode(1, basis_state(1, 0), basis_state(1, 1), "trivial")
 
 
 def test_bitflip3_codewords():
@@ -65,10 +67,10 @@ def test_concatenate_reproduces_six_qubit_codewords():
 
 def test_concatenate_with_trivial_identity():
     base = dfs2("bit")
-    same = concatenate(base, trivial_code())
+    same = concatenate(base, identity_code())
     assert same.logical_zero.isclose(base.logical_zero)
     assert same.logical_one.isclose(base.logical_one)
-    lifted = concatenate(trivial_code(), base)
+    lifted = concatenate(identity_code(), base)
     assert lifted.logical_zero.isclose(base.logical_zero)
     assert lifted.logical_one.isclose(base.logical_one)
 
@@ -105,7 +107,7 @@ def test_hadamard_transform_involution():
 
 
 def test_concatenate_associativity_smoke():
-    t = trivial_code()
+    t = identity_code()
     base = bitflip3()
     left = concatenate(concatenate(base, t), t)
     right = concatenate(base, concatenate(t, t))
@@ -117,29 +119,6 @@ def test_concatenate_capacity():
     four = QuantumCode(4, basis_state(4, 0), basis_state(4, 0b1111), "rep4")
     with pytest.raises(CapacityError):
         concatenate(concatenate(dfs2("bit"), bitflip3()), four)
-
-
-def test_encoding_circuit_reproduces_codewords():
-    # CNOT(1->2) then CNOT(1->3), on |000> and |100>
-    code = bitflip3()
-    encoded_zero = apply_cnot(apply_cnot(basis_state(3, 0), 0, 1), 0, 2)
-    assert encoded_zero.isclose(code.logical_zero)
-    encoded_one = apply_cnot(apply_cnot(basis_state(3, 1), 0, 1), 0, 2)
-    assert encoded_one.isclose(code.logical_one)
-
-
-def test_encoding_circuit_is_linear():
-    plus = pattern_state("+00")
-    encoded = apply_cnot(apply_cnot(plus, 0, 1), 0, 2)
-    amp = 1 / math.sqrt(2)
-    assert encoded.isclose(SparseState(3, {0: amp, 7: amp}))
-
-
-def test_apply_cnot_validation():
-    with pytest.raises(ParameterError):
-        apply_cnot(basis_state(2, 0), 0, 0)
-    with pytest.raises(ParameterError):
-        apply_cnot(basis_state(2, 0), 0, 2)
 
 
 def test_pattern_state_rejects_garbage():
@@ -156,10 +135,3 @@ def test_code_validation():
     with pytest.raises(ContractViolationError):
         QuantumCode(2, plus, basis_state(2, 0), "bad-overlap")
 
-
-def test_code_json_roundtrip():
-    code = concatenate(dfs2("bit"), bitflip3(), label="concat6")
-    back = code_from_json_dict(code.to_json_dict())
-    assert back.label == "concat6" and back.n == 6
-    assert back.logical_zero.isclose(code.logical_zero)
-    assert back.logical_one.isclose(code.logical_one)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -116,23 +114,23 @@ def test_numeric_matches_closed_forms_on_grid():
 
 
 def test_dense_oracle_agrees_with_sparse():
-    code, rs = scheme_recovery("bit3", "bit")
+    _, rs = scheme_recovery("bit3", "bit")
     ch = channel(MODEL_I, 3, 0.2, 0.3)
-    sparse = entanglement_fidelity_corrected(code, ch, rs)
-    dense = dense_oracle_fidelity(code, ch, rs)
+    sparse = entanglement_fidelity_corrected(ch, rs)
+    dense = dense_oracle_fidelity(ch, rs)
     assert abs(sparse - dense) < 1e-10
 
 
 def test_dense_oracle_identity_channel():
-    code, rs = scheme_recovery("bit3", "bit")
+    _, rs = scheme_recovery("bit3", "bit")
     ch = channel(MODEL_I, 3, 0.0, 0.0)
-    assert abs(dense_oracle_fidelity(code, ch, rs) - 1.0) < 1e-12
+    assert abs(dense_oracle_fidelity(ch, rs) - 1.0) < 1e-12
 
 
 def test_dense_oracle_concat_matches_polynomial():
-    code, rs = scheme_recovery("concat6", "bit")
+    _, rs = scheme_recovery("concat6", "bit")
     ch = channel(MODEL_II, 6, 0.1, 0.5)
-    assert abs(dense_oracle_fidelity(code, ch, rs) - 0.972784) < 1e-10
+    assert abs(dense_oracle_fidelity(ch, rs) - 0.972784) < 1e-10
 
 
 def test_dense_oracle_capacity_limit():
@@ -140,28 +138,17 @@ def test_dense_oracle_capacity_limit():
     from corrqec.pauli import basis_state
 
     big = QuantumCode(7, basis_state(7, 0), basis_state(7, 1), "big")
-    _, rs = scheme_recovery("bit3", "bit")
     with pytest.raises(CapacityError):
-        dense_oracle_fidelity(big, channel(MODEL_I, 3, 0.1, 0.1), rs)
+        dense_oracle_fidelity(channel(MODEL_I, 7, 0.1, 0.1), RecoverySet(big, (), ()))
 
 
 def test_dense_oracle_matches_per_row_loop_on_concat6():
-    code, rs = scheme_recovery("concat6", "bit")
+    _, rs = scheme_recovery("concat6", "bit")
     for model in (MODEL_I, MODEL_II):
         for p, mu in ((0.1, 0.5), (0.37, 0.91), (1.0 / 3.0, 0.0), (0.9, 1.0), (0.0, 0.2)):
             ch = channel(model, 6, p, mu)
-            got = dense_oracle_fidelity(code, ch, rs)
-            assert abs(got - per_row_dense_fidelity(code, ch, rs)) <= 1e-14, (model, p, mu)
-
-
-def test_dense_oracle_rejects_a_code_other_than_the_recovery_sets():
-    code_b, rs_b = scheme_recovery("bit3", "bit")
-    code_p, _ = scheme_recovery("bit3", "phase")
-    ch = channel(MODEL_I, 3, 0.1, 0.3)
-    with pytest.raises(ParameterError):
-        dense_oracle_fidelity(code_p, ch, rs_b)
-    with pytest.raises(ParameterError):
-        dense_oracle_fidelity(dataclasses.replace(code_b), ch, rs_b)
+            got = dense_oracle_fidelity(ch, rs)
+            assert abs(got - per_row_dense_fidelity(ch, rs)) <= 1e-14, (model, p, mu)
 
 
 def test_complement_terms_have_zero_trace():
@@ -187,8 +174,8 @@ def test_merged_decomposition_gives_identical_fidelity():
     for scheme in ("bit3", "dfs2", "concat6"):
         code, rs = scheme_recovery(scheme, "bit")
         ch = channel(MODEL_II, code.n, 0.2, 0.6)
-        unmerged = entanglement_fidelity_corrected(code, ch, rs)
-        merged = entanglement_fidelity_corrected(code, ch.merged(), rs)
+        unmerged = entanglement_fidelity_corrected(ch, rs)
+        merged = entanglement_fidelity_corrected(ch.merged(), rs)
         assert abs(unmerged - merged) < 1e-12
 
 
@@ -209,13 +196,13 @@ def test_flavor_symmetry_of_the_actual_phase_pipeline():
     for scheme in ("bit3", "dfs2", "concat6"):
         for model in (MODEL_I, MODEL_II):
             for mu, p in ((0.0, 0.3), (0.4, 0.2), (0.8, 0.55), (1.0, 0.1)):
-                code_b, rs_b = scheme_recovery(scheme, "bit")
-                code_p, rs_p = scheme_recovery(scheme, "phase")
+                _, rs_b = scheme_recovery(scheme, "bit")
+                _, rs_p = scheme_recovery(scheme, "phase")
                 f_bit = entanglement_fidelity_corrected(
-                    code_b, channel(model, code_b.n, p, mu, "bit"), rs_b
+                    channel(model, rs_b.code.n, p, mu, "bit"), rs_b
                 )
                 f_phase = entanglement_fidelity_corrected(
-                    code_p, channel(model, code_p.n, p, mu, "phase"), rs_p
+                    channel(model, rs_p.code.n, p, mu, "phase"), rs_p
                 )
                 assert abs(f_bit - f_phase) < 1e-12
     for model in (MODEL_I, MODEL_II):
@@ -307,9 +294,9 @@ def test_threshold_p_range_validation():
 
 
 def test_corrected_fidelity_dimension_mismatch():
-    code, rs = scheme_recovery("bit3", "bit")
+    _, rs = scheme_recovery("bit3", "bit")
     with pytest.raises(Exception):
-        entanglement_fidelity_corrected(code, channel(MODEL_I, 2, 0.1, 0.1), rs)
+        entanglement_fidelity_corrected(channel(MODEL_I, 2, 0.1, 0.1), rs)
 
 
 def test_model_builders_disagree_only_through_memory():
@@ -322,14 +309,14 @@ def test_model_builders_disagree_only_through_memory():
 
 def test_model1_channel_term_count_feeds_fidelity():
     # 64 Kraus terms; 32 correctable operators grouped into 16 isometries
-    code, rs = scheme_recovery("concat6", "bit")
+    _, rs = scheme_recovery("concat6", "bit")
     ch = model1_channel(ChannelParams(p=0.1, mu=0.5, n=6, model=MODEL_I))
     assert len(ch.terms) == 64
     assert len(rs.ops) == 16
     assert sum(len(op.members) for op in rs.ops) == 32
     ch2 = model2_channel(ChannelParams(p=0.1, mu=0.5, n=6, model=MODEL_II))
     assert len(ch2.terms) == 66
-    f = entanglement_fidelity_corrected(code, ch2, rs)
+    f = entanglement_fidelity_corrected(ch2, rs)
     assert abs(f - closed_form("concat6", MODEL_II, 0.5, 0.1)) < 1e-10
 
 
@@ -347,9 +334,9 @@ def test_memoized_kernel_is_bit_identical_to_per_point_loop():
                         # only model II repeats Paulis, so only it has a distinct merged view
                         views = (ch, ch.merged()) if model == MODEL_II else (ch,)
                         for view in views:
-                            got = entanglement_fidelity_corrected(code, view, rs)
-                            assert got == per_point_fidelity(code, view, rs), (
-                                scheme, flavor, model, p, mu, view.is_merged
+                            got = entanglement_fidelity_corrected(view, rs)
+                            assert got == per_point_fidelity(view, rs), (
+                                scheme, flavor, model, p, mu, view is not ch
                             )
 
 
@@ -366,7 +353,7 @@ def test_restricted_traces_are_computed_once_per_pauli(monkeypatch):
     monkeypatch.setattr(fidelity, "_squared_restricted_traces", counting)
     for model in (MODEL_I, MODEL_II):
         for p, mu in ((0.1, 0.0), (0.3, 0.7), (0.9, 1.0)):
-            entanglement_fidelity_corrected(code, channel(model, 6, p, mu), fresh)
+            entanglement_fidelity_corrected(channel(model, 6, p, mu), fresh)
     assert len(fills) == len(set(fills)) == 64
     assert set(fresh.restricted_traces) == set(fills)
 
@@ -376,16 +363,6 @@ def test_corrupted_complement_still_raises():
     # a complement vector inside the code space has a nonzero restricted trace
     broken = RecoverySet(code, rs.ops, (code.logical_zero,) + rs.complement[1:])
     with pytest.raises(ContractViolationError):
-        entanglement_fidelity_corrected(code, channel(MODEL_I, 2, 0.1, 0.5), broken)
+        entanglement_fidelity_corrected(channel(MODEL_I, 2, 0.1, 0.5), broken)
     with pytest.raises(ContractViolationError):
-        per_point_fidelity(code, channel(MODEL_I, 2, 0.1, 0.5), broken)
-
-
-def test_kernel_rejects_a_code_other_than_the_recovery_sets():
-    code_b, rs_b = scheme_recovery("bit3", "bit")
-    code_p, rs_p = scheme_recovery("bit3", "phase")
-    ch = channel(MODEL_I, 3, 0.1, 0.5)
-    with pytest.raises(ParameterError):
-        entanglement_fidelity_corrected(code_p, ch, rs_b)
-    with pytest.raises(ParameterError):
-        entanglement_fidelity_corrected(dataclasses.replace(code_b), ch, rs_b)
+        per_point_fidelity(channel(MODEL_I, 2, 0.1, 0.5), broken)
