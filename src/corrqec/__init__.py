@@ -27,7 +27,6 @@ from .errors import (
     ContractViolationError,
     DimensionError,
     ParameterError,
-    UnsupportedPairError,
 )
 from .fidelity import (
     FidelityResult,
@@ -38,7 +37,6 @@ from .fidelity import (
     entanglement_fidelity_unencoded,
     evaluate,
     failure_probability,
-    has_closed_form,
     threshold_mu,
 )
 from .pauli import (

@@ -86,13 +86,6 @@ class NoiseChannel:
     def total_weight(self) -> float:
         return sum(w for w, _ in self.terms)
 
-    def operators(self) -> list[PauliString]:
-        """Distinct Pauli operators, in first-appearance order."""
-        seen: dict[tuple[int, int, int], PauliString] = {}
-        for _, op in self.terms:
-            seen.setdefault((op.x_mask, op.z_mask, op.phase), op)
-        return list(seen.values())
-
     def merged(self) -> "NoiseChannel":
         """Deduplicate identical Paulis by adding their weights.
 

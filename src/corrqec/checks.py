@@ -44,6 +44,7 @@ ORACLE_TOL = 1e-10
 ENDPOINT_TOL = 1e-12
 FLAVOR_TOL = 1e-12
 
+CLOSED_FORM_GRID_STEPS = 21
 SPARSE_DENSE_POINTS = 30
 SPARSE_DENSE_SEED = 7
 FLAVOR_GRID_STEPS = 5
@@ -74,7 +75,7 @@ class SuiteResult:
     detail: str
 
 
-def closed_form_agreement(grid_steps: int = 21, inject: str | None = None) -> SuiteResult:
+def closed_form_agreement(grid_steps: int, inject: str | None = None) -> SuiteResult:
     """Numeric pipeline vs published polynomial on a (mu, p) grid."""
     if grid_steps < 1:
         # an empty grid would check nothing and pass
@@ -312,8 +313,8 @@ SUITES = {
 
 
 def run_suites(
-    names: list[str] | None = None,
-    grid_steps: int = 21,
+    names: list[str] | None,
+    grid_steps: int,
     inject: str | None = None,
 ) -> list[SuiteResult]:
     selected = names if names is not None else list(SUITES)

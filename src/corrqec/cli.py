@@ -9,8 +9,8 @@ import argparse
 import sys
 
 from .channels import ChannelParams, build_channel
-from .checks import SUITES, run_suites
-from .errors import CapacityError, DimensionError, ParameterError, UnsupportedPairError
+from .checks import CLOSED_FORM_GRID_STEPS, SUITES, run_suites
+from .errors import CapacityError, DimensionError, ParameterError
 from .fidelity import CLOSED_FORM_KEYS
 from .recovery import (
     alternative_maximal_sets,
@@ -20,7 +20,7 @@ from .recovery import (
 )
 from .schemes import resolve_scheme, scheme_recovery
 from .sweep import (
-    SweepSpec,
+    OUTPUT_FORMATS,
     parse_range,
     render_fidelity,
     render_threshold,
@@ -32,7 +32,7 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 # bad input, reported as one line and exit code USAGE_ERROR
-INPUT_ERRORS = (ParameterError, CapacityError, DimensionError, UnsupportedPairError)
+INPUT_ERRORS = (ParameterError, CapacityError, DimensionError)
 
 
 def positive_int(text: str) -> int:
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="error flavor (default bit)")
 
     def add_output(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--format", choices=OUTPUT_FORMATS, default="csv")
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
     fid = sub.add_parser("fidelity", help="fidelity table over a (mu, p) grid")
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the verification suites")
     ver.add_argument("--suite", choices=tuple(SUITES), default=None,
                      help="run a single suite (default: all)")
-    ver.add_argument("--grid", type=positive_int, default=21,
+    ver.add_argument("--grid", type=positive_int, default=CLOSED_FORM_GRID_STEPS,
                      help="closed-form agreement grid steps per axis")
     ver.add_argument("--inject-error", choices=CLOSED_FORM_KEYS, default=None,
                      metavar="SCHEME-MODELN",
@@ -111,6 +111,16 @@ def _values(single: float | None, range_text: str | None, name: str) -> tuple[fl
     return parse_range(range_text)
 
 
+def _schemes(args: argparse.Namespace) -> tuple[str, ...]:
+    """The --scheme names as given, each checked against --flavor before any point runs."""
+    schemes = tuple(s.strip() for s in args.scheme.split(",") if s.strip())
+    if not schemes:
+        raise ParameterError("at least one scheme is required")
+    for name in schemes:
+        resolve_scheme(name, args.flavor)
+    return schemes
+
+
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -123,22 +133,16 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:
-    spec = SweepSpec(
-        model=args.model,
-        schemes=tuple(s.strip() for s in args.scheme.split(",") if s.strip()),
-        p_values=_values(args.p, args.p_range, "p"),
-        mu_values=_values(args.mu, args.mu_range, "mu"),
-        flavor=args.flavor,
-    )
-    _emit(render_fidelity(run_sweep(spec), args.format), args.output)
+    schemes = _schemes(args)
+    p_values = _values(args.p, args.p_range, "p")
+    mu_values = _values(args.mu, args.mu_range, "mu")
+    rows = run_sweep(args.model, schemes, p_values, mu_values)
+    _emit(render_fidelity(rows, args.format), args.output)
     return 0
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
-    schemes = tuple(s.strip() for s in args.scheme.split(",") if s.strip())
-    if not schemes:
-        raise ParameterError("at least one scheme is required")
-    rows = run_threshold(args.model, schemes, _values(args.p, args.p_range, "p"), args.flavor)
+    rows = run_threshold(args.model, _schemes(args), _values(args.p, args.p_range, "p"))
     _emit(render_threshold(rows, args.format), args.output)
     return 0
 
@@ -174,7 +178,7 @@ def _cmd_correctable(args: argparse.Namespace) -> int:
     for op in corr:
         by_weight.setdefault(op.weight, []).append(op.label())
     print(f"scheme {args.scheme} ({flavor} flavor, model {args.model}): "
-          f"{code.n} qubits, {len(channel.operators())} channel operators")
+          f"{code.n} qubits, {len(channel.merged().terms)} channel operators")
     print(f"correctable set: {len(corr)} operators, weight census "
           f"{{{', '.join(f'{w}: {len(ops)}' for w, ops in sorted(by_weight.items()))}}}")
     for w, labels in sorted(by_weight.items()):

@@ -15,7 +15,3 @@ class CapacityError(ValueError):
 
 class ContractViolationError(RuntimeError):
     """An internal consistency condition (orthogonality, normalization) failed."""
-
-
-class UnsupportedPairError(LookupError):
-    """No closed-form fidelity polynomial exists for this scheme/model pair."""

@@ -26,7 +26,8 @@ every sum of w * |tr|^2 unchanged up to rounding, so the merged view agrees.
 
 Closed-form fidelity polynomials in (mu, p) exist for the six
 (scheme in {bit3, dfs2, concat6}) x (model in {1, 2}) pairs and are
-evaluated exactly as published.  A scheme is *effective* at (mu, p) when
+evaluated exactly as published; ``closed_form`` returns None for any other
+pair (``unencoded``).  A scheme is *effective* at (mu, p) when
 its failure probability 1 - F stays strictly below the bare error
 probability p; threshold curves report where that holds.
 """
@@ -49,7 +50,6 @@ from .errors import (
     ContractViolationError,
     DimensionError,
     ParameterError,
-    UnsupportedPairError,
 )
 from .pauli import PauliString, apply_to_state
 from .recovery import RecoverySet, recovery_dense
@@ -218,23 +218,12 @@ _CLOSED_FORMS = {
 CLOSED_FORM_KEYS = tuple(f"{base}-model{model}" for base, model in _CLOSED_FORMS)
 
 
-def has_closed_form(scheme: str, model: int) -> bool:
-    try:
-        base, _ = resolve_scheme(scheme)
-    except ParameterError:
-        return False
-    return (base, model) in _CLOSED_FORMS
-
-
-def closed_form(scheme: str, model: int, mu: float, p: float) -> float:
-    """Published fidelity polynomial for (scheme, model), evaluated at (mu, p)."""
+def closed_form(scheme: str, model: int, mu: float, p: float) -> float | None:
+    """Published fidelity polynomial for (scheme, model) at (mu, p); None if unpublished."""
     base, _ = resolve_scheme(scheme)
-    try:
-        poly = _CLOSED_FORMS[(base, model)]
-    except KeyError:
-        raise UnsupportedPairError(
-            f"no closed-form fidelity for scheme {scheme!r} with model {model}"
-        ) from None
+    poly = _CLOSED_FORMS.get((base, model))
+    if poly is None:
+        return None
     if not 0.0 <= mu <= 1.0 or not 0.0 <= p <= 1.0:
         raise ParameterError("mu and p must lie in [0, 1]")
     return poly(mu, p)
@@ -242,21 +231,16 @@ def closed_form(scheme: str, model: int, mu: float, p: float) -> float:
 
 # --- end-to-end evaluation -------------------------------------------------
 
-def evaluate(
-    scheme: str,
-    model: int,
-    mu: float,
-    p: float,
-    flavor: str | None = None,
-) -> FidelityResult:
+def evaluate(scheme: str, model: int, mu: float, p: float) -> FidelityResult:
     """Numeric fidelity for one (scheme, model, mu, p) point, plus closed form.
 
     Hadamard conjugation maps the phase-flavor channel, code, and recovery
     jointly onto their bit-flavor counterparts, an exact equivalence, so the
     fidelity is always evaluated on the canonical bit-flavor representation;
-    emitted tables are therefore flavor-independent bit for bit.
+    emitted tables are therefore flavor-independent bit for bit, and a phase
+    alias such as ``phase3`` gives the numbers of its base scheme.
     """
-    base, _ = resolve_scheme(scheme, flavor)
+    base, _ = resolve_scheme(scheme)
     n = scheme_qubits(base)
     channel = build_channel(ChannelParams(p=p, mu=mu, n=n, flavor="bit", model=model))
     if base == "unencoded":
@@ -264,30 +248,26 @@ def evaluate(
     else:
         _, rs = scheme_recovery(base, "bit")
         f = entanglement_fidelity_corrected(channel, rs)
-    cf = closed_form(base, model, mu, p) if has_closed_form(base, model) else None
     return FidelityResult(
         mu=mu,
         p=p,
         scheme=scheme,
         model=model,
         f_numeric=f,
-        f_closed_form=cf,
+        f_closed_form=closed_form(base, model, mu, p),
         failure_prob=1.0 - f,
     )
 
 
-def failure_probability(
-    scheme: str, model: int, mu: float, p: float, flavor: str | None = None
-) -> float:
+def failure_probability(scheme: str, model: int, mu: float, p: float) -> float:
     """1 - F, from the closed form when published, else the numeric pipeline."""
-    if has_closed_form(scheme, model):
-        return 1.0 - closed_form(scheme, model, mu, p)
-    return evaluate(scheme, model, mu, p, flavor).failure_prob
+    cf = closed_form(scheme, model, mu, p)
+    if cf is not None:
+        return 1.0 - cf
+    return evaluate(scheme, model, mu, p).failure_prob
 
 
-def threshold_mu(
-    scheme: str, model: int, p: float, flavor: str | None = None
-) -> ThresholdPoint:
+def threshold_mu(scheme: str, model: int, p: float) -> ThresholdPoint:
     """Where, in mu, the scheme beats the bare error probability p.
 
     Scans sign of failure_prob(mu) - p on a uniform grid, refines each sign
@@ -297,7 +277,7 @@ def threshold_mu(
         raise ParameterError(f"p must lie strictly inside (0, 1), got {p}")
 
     def excess(mu: float) -> float:
-        return failure_probability(scheme, model, mu, p, flavor) - p
+        return failure_probability(scheme, model, mu, p) - p
 
     grid = np.linspace(0.0, 1.0, THRESHOLD_GRID_POINTS)
     values = [excess(float(mu)) for mu in grid]

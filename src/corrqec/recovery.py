@@ -82,7 +82,7 @@ def is_detectable(code: QuantumCode, op: PauliString) -> bool:
 
 
 def _sorted_candidates(channel: NoiseChannel) -> list[PauliString]:
-    ops = channel.operators()
+    ops = [op for _, op in channel.merged().terms]
     if not ops:
         raise ParameterError("channel has no Kraus operators")
     return sorted(ops, key=lambda op: (op.weight, op.x_mask, op.z_mask, op.phase))

@@ -17,6 +17,7 @@ from .fidelity import FidelityResult, ThresholdPoint, evaluate, threshold_mu
 
 CSV_HEADER = "model,scheme,mu,p,fidelity_numeric,fidelity_closed_form,abs_diff,failure_prob"
 THRESHOLD_CSV_HEADER = "model,scheme,p,mu_star,branch,regions"
+OUTPUT_FORMATS = ("csv", "json")
 
 
 def fmt_float(x: float) -> str:
@@ -54,34 +55,18 @@ def parse_range(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in np.linspace(lo, hi, steps))
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One fidelity-sweep request."""
-
-    model: int
-    schemes: tuple[str, ...]
-    p_values: tuple[float, ...]
-    mu_values: tuple[float, ...]
-    flavor: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.schemes:
-            raise ParameterError("at least one scheme is required")
-        if not self.p_values or not self.mu_values:
-            raise ParameterError("at least one p and one mu value are required")
-        for name, values in (("p", self.p_values), ("mu", self.mu_values)):
-            for v in values:
-                if not 0.0 <= v <= 1.0:
-                    raise ParameterError(f"{name} value {v} outside [0, 1]")
-
-
-def run_sweep(spec: SweepSpec) -> list[FidelityResult]:
-    results = []
-    for scheme in spec.schemes:
-        for p in spec.p_values:
-            for mu in spec.mu_values:
-                results.append(evaluate(scheme, spec.model, mu, p, spec.flavor))
-    return results
+def run_sweep(
+    model: int,
+    schemes: tuple[str, ...],
+    p_values: tuple[float, ...],
+    mu_values: tuple[float, ...],
+) -> list[FidelityResult]:
+    return [
+        evaluate(scheme, model, mu, p)
+        for scheme in schemes
+        for p in p_values
+        for mu in mu_values
+    ]
 
 
 def render_fidelity_csv(results: list[FidelityResult]) -> str:
@@ -124,7 +109,15 @@ def render_fidelity_json(results: list[FidelityResult]) -> str:
     return json.dumps(rows, indent=2) + "\n"
 
 
+def _check_format(output_format: str) -> None:
+    if output_format not in OUTPUT_FORMATS:
+        raise ParameterError(
+            f"output format must be one of {', '.join(OUTPUT_FORMATS)}, got {output_format!r}"
+        )
+
+
 def render_fidelity(results: list[FidelityResult], output_format: str) -> str:
+    _check_format(output_format)
     if output_format == "json":
         return render_fidelity_json(results)
     return render_fidelity_csv(results)
@@ -138,16 +131,13 @@ class ThresholdRow:
 
 
 def run_threshold(
-    model: int,
-    schemes: tuple[str, ...],
-    p_values: tuple[float, ...],
-    flavor: str | None = None,
+    model: int, schemes: tuple[str, ...], p_values: tuple[float, ...]
 ) -> list[ThresholdRow]:
-    rows = []
-    for scheme in schemes:
-        for p in p_values:
-            rows.append(ThresholdRow(model, scheme, threshold_mu(scheme, model, p, flavor)))
-    return rows
+    return [
+        ThresholdRow(model, scheme, threshold_mu(scheme, model, p))
+        for scheme in schemes
+        for p in p_values
+    ]
 
 
 def _regions_text(point: ThresholdPoint) -> str:
@@ -191,6 +181,7 @@ def render_threshold_json(rows: list[ThresholdRow]) -> str:
 
 
 def render_threshold(rows: list[ThresholdRow], output_format: str) -> str:
+    _check_format(output_format)
     if output_format == "json":
         return render_threshold_json(rows)
     return render_threshold_csv(rows)

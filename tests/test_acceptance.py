@@ -23,10 +23,11 @@ from corrqec.checks import (
     sparse_dense_agreement,
     threshold_reproduction,
 )
+from corrqec.cli import main
 from corrqec.fidelity import evaluate, threshold_mu
 from corrqec.recovery import correctable_set, non_detectable_set
 from corrqec.schemes import scheme_recovery
-from corrqec.sweep import CSV_HEADER, SweepSpec, parse_range, render_fidelity_csv, run_sweep
+from corrqec.sweep import CSV_HEADER, parse_range, render_fidelity_csv, run_sweep
 
 
 def report(num, name, detail):
@@ -134,38 +135,35 @@ def test_criterion_5_structural_suites():
     )
 
 
-def test_criterion_6_flavor_symmetry():
+def test_criterion_6_flavor_symmetry(capsys):
     result = flavor_symmetry()
     assert result.passed, result.detail
-    # direct byte comparison for one representative pair
-    grid = tuple(float(v) for v in np.linspace(0.0, 1.0, 5))
-    tables = [
-        render_fidelity_csv(
-            run_sweep(
-                SweepSpec(
-                    model=MODEL_II,
-                    schemes=("bit3", "dfs2", "concat6"),
-                    p_values=grid,
-                    mu_values=grid,
-                    flavor=flavor,
-                )
-            )
-        )
-        for flavor in ("bit", "phase")
-    ]
-    assert tables[0] == tables[1]
-    report(6, "flavor symmetry", "bit and phase tables byte-identical on 5x5 grid")
+    # the documented CLI contract: a fidelity table does not depend on the
+    # flavor, and an alias gives its base scheme's rows under its own name
+    aliases = {"phase3": "bit3", "dfs2-phase": "dfs2", "concat6-phase": "concat6"}
+
+    def table(schemes, *flavor):
+        code = main(["fidelity", "--model", "2", "--scheme", schemes, *flavor,
+                     "--p-range", "0:1:5", "--mu-range", "0:1:5"])
+        assert code == 0
+        return capsys.readouterr().out
+
+    bit = table("bit3,dfs2,concat6,unencoded", "--flavor", "bit")
+    assert len(bit.splitlines()) == 1 + 4 * 25
+    assert table("bit3,dfs2,concat6,unencoded", "--flavor", "phase") == bit
+    assert table("bit3,dfs2,concat6,unencoded") == bit
+    for flavor in ((), ("--flavor", "phase")):
+        renamed = [
+            ",".join(aliases.get(field, field) for field in line.split(","))
+            for line in table("phase3,dfs2-phase,concat6-phase", *flavor).splitlines()
+        ]
+        assert renamed == bit.splitlines()[: 1 + 3 * 25]
+    report(6, "flavor symmetry", "CLI tables byte-identical across flavors and aliases, 5x5 grid")
 
 
 def test_criterion_7_figure_data_emission():
-    spec = SweepSpec(
-        model=MODEL_II,
-        schemes=("dfs2", "bit3", "concat6"),
-        p_values=(0.1,),
-        mu_values=parse_range("0:1:101"),
-    )
     start = time.perf_counter()
-    rows = run_sweep(spec)
+    rows = run_sweep(MODEL_II, ("dfs2", "bit3", "concat6"), (0.1,), parse_range("0:1:101"))
     text = render_fidelity_csv(rows)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0

@@ -1,0 +1,78 @@
+"""The names and counts the benchmark in ``perfbench/`` relies on.
+
+``perfbench/tracer.py`` wraps corrqec functions by module and attribute
+name, ``perfbench/run.py`` checks the call counts a request implies, and
+``perfbench/probe.py`` reads recovery sets in a fresh interpreter.  A change
+that breaks one of these fails here rather than in a benchmark run.  The
+tests only read ``perfbench/``.
+"""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import corrqec
+from corrqec import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    # run.py pins the BLAS thread variables when imported; keep them out of
+    # the environment of the other tests
+    saved = dict(os.environ)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import run
+        import tracer
+    finally:
+        os.environ.clear()
+        os.environ.update(saved)
+    return run, tracer
+
+
+def test_every_traced_name_resolves_to_a_callable(bench):
+    _, tracer = bench
+    table = tracer.span_table()
+    assert table
+    for name, module, attr, _ in table:
+        assert callable(getattr(module, attr, None)), f"{name}: {module.__name__}.{attr}"
+
+
+def test_traced_request_gives_the_expected_calls(bench):
+    run, tracer = bench
+    argv = (
+        "fidelity", "--model", "1", "--scheme", "bit3,unencoded",
+        "--p-range", "0.1:0.2:2", "--mu-range", "0:1:2",
+    )
+    expected = run.expected_calls(argv)
+    assert expected == {
+        "fidelity.evaluate": 8,
+        "channels.build_channel": 8,
+        "fidelity.kernel": 4,
+        "fidelity.unencoded": 4,
+    }
+    spans = tracer.Tracer()
+    out = io.StringIO()
+    with tracer.traced(spans), contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    assert {name: spans.calls[name] for name in expected} == expected
+    assert len(out.getvalue().splitlines()) == 1 + 8
+
+
+def test_probe_reads_the_recovery_set():
+    src = Path(corrqec.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "probe.py"), "dfs2:bit"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # one isometry plus a two-dimensional complement
+    assert json.loads(proc.stdout)["recovery_ops"] == 3

@@ -204,7 +204,7 @@ def test_builders_check_model_field():
 def test_operators_dedupes_but_terms_do_not():
     channel = model2_channel(params(0.2, 0.7, 2, model=MODEL_II))
     assert len(channel.terms) == 6
-    assert len(channel.operators()) == 4
+    assert len(channel.merged().terms) == 4
 
 
 def test_merged_is_sorted_and_normalized():

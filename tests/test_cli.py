@@ -9,14 +9,17 @@ from corrqec.channels import ChannelParams, model1_channel
 from corrqec.checks import closed_form_agreement, flavor_symmetry
 from corrqec.codes import concatenate, dfs2, phaseflip3
 from corrqec.cli import main
-from corrqec.errors import (
-    CapacityError,
-    DimensionError,
-    ParameterError,
-    UnsupportedPairError,
-)
+from corrqec.errors import CapacityError, DimensionError, ParameterError
+from corrqec.fidelity import evaluate, threshold_mu
 from corrqec.recovery import build_recovery, correctable_set
-from corrqec.sweep import CSV_HEADER, THRESHOLD_CSV_HEADER, parse_range
+from corrqec.sweep import (
+    CSV_HEADER,
+    THRESHOLD_CSV_HEADER,
+    ThresholdRow,
+    parse_range,
+    render_fidelity,
+    render_threshold,
+)
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +151,39 @@ def test_threshold_command(capsys):
     assert conc_fields[4] == "all" and conc_fields[3] == "" and conc_fields[5] == "0:1"
 
 
+@pytest.mark.parametrize("command", ["fidelity", "threshold"])
+def test_alias_with_a_contradicting_flavor_exits_2(capsys, monkeypatch, command):
+    def unreachable(*args):
+        raise AssertionError("no point may be computed for a refused request")
+
+    monkeypatch.setattr(cli, "run_sweep", unreachable)
+    monkeypatch.setattr(cli, "run_threshold", unreachable)
+    extra = ("--mu", "0.5") if command == "fidelity" else ()
+    for scheme in ("bit3,phase3", "concat6-phase", "dfs2-phase"):
+        code, out, err = run_cli(
+            capsys, command, "--model", "2", "--scheme", scheme, "--flavor", "bit",
+            "--p", "0.1", *extra,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "implies flavor 'phase'" in err
+    code, out, err = run_cli(capsys, command, "--model", "2", "--scheme", ",", "--p", "0.1", *extra)
+    assert code == 2 and out == ""
+    assert err == "error: at least one scheme is required\n"
+
+
+def test_renderers_refuse_an_unknown_format():
+    rows = [evaluate("bit3", 1, 0.5, 0.1)]
+    thresholds = [ThresholdRow(2, "dfs2", threshold_mu("dfs2", 2, 0.1))]
+    for fmt in ("xml", "CSV", ""):
+        with pytest.raises(ParameterError, match="csv, json"):
+            render_fidelity(rows, fmt)
+        with pytest.raises(ParameterError, match="csv, json"):
+            render_threshold(thresholds, fmt)
+    assert render_fidelity(rows, "csv").startswith(CSV_HEADER + "\n")
+    assert render_threshold(thresholds, "csv").startswith(THRESHOLD_CSV_HEADER + "\n")
+
+
 def test_threshold_model1_band_json(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -276,7 +312,7 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
     assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("error", [CapacityError, DimensionError, UnsupportedPairError])
+@pytest.mark.parametrize("error", [CapacityError, DimensionError])
 def test_library_input_errors_exit_2_with_one_line(capsys, monkeypatch, error):
     def fail(*args, **kwargs):
         raise error("input out of range")

@@ -16,7 +16,6 @@ from corrqec.errors import (
     CapacityError,
     ContractViolationError,
     ParameterError,
-    UnsupportedPairError,
 )
 from corrqec.fidelity import (
     closed_form,
@@ -25,7 +24,6 @@ from corrqec.fidelity import (
     entanglement_fidelity_unencoded,
     evaluate,
     failure_probability,
-    has_closed_form,
     threshold_mu,
 )
 from corrqec.recovery import RecoverySet
@@ -89,9 +87,8 @@ def test_closed_form_model_agreement_for_dfs():
 
 
 def test_closed_form_unsupported_pairs():
-    assert not has_closed_form("unencoded", MODEL_I)
-    with pytest.raises(UnsupportedPairError):
-        closed_form("unencoded", MODEL_I, 0.5, 0.1)
+    assert closed_form("unencoded", MODEL_I, 0.5, 0.1) is None
+    assert closed_form("unencoded", MODEL_II, 0.5, 0.1) is None
     with pytest.raises(ParameterError):
         closed_form("nope", MODEL_I, 0.5, 0.1)
     with pytest.raises(ParameterError):
@@ -99,7 +96,6 @@ def test_closed_form_unsupported_pairs():
 
 
 def test_closed_form_aliases_follow_base_scheme():
-    assert has_closed_form("phase3", MODEL_II)
     assert closed_form("phase3", MODEL_II, 0.3, 0.2) == closed_form("bit3", MODEL_II, 0.3, 0.2)
 
 
@@ -212,11 +208,12 @@ def test_flavor_symmetry_of_the_actual_phase_pipeline():
 
 
 def test_phase_alias_schemes_evaluate():
+    # the flavor conflict of an alias is refused by the CLI (test_cli)
     a = evaluate("phase3", MODEL_I, 0.3, 0.2)
-    b = evaluate("bit3", MODEL_I, 0.3, 0.2, flavor="phase")
-    assert abs(a.f_numeric - b.f_numeric) < 1e-15
-    with pytest.raises(ParameterError):
-        evaluate("phase3", MODEL_I, 0.3, 0.2, flavor="bit")
+    b = evaluate("bit3", MODEL_I, 0.3, 0.2)
+    assert a.f_numeric == b.f_numeric
+    assert a.f_closed_form == b.f_closed_form
+    assert a.scheme == "phase3"
 
 
 def test_threshold_dfs_model2():

@@ -1,0 +1,58 @@
+"""Property tests over random (mu, p): normalization, fidelity range, flavors.
+
+Every test is derandomized and keeps no example database, so a run draws
+the same examples each time.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corrqec.channels import MODEL_I, MODEL_II, WEIGHT_SUM_TOL, ChannelParams, build_channel
+from corrqec.checks import CLOSED_FORM_TOL, FLAVOR_TOL
+from corrqec.fidelity import (
+    entanglement_fidelity_corrected,
+    entanglement_fidelity_unencoded,
+    evaluate,
+)
+from corrqec.schemes import BASE_SCHEMES, scheme_qubits, scheme_recovery
+
+deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+models = st.sampled_from((MODEL_I, MODEL_II))
+flavors = st.sampled_from(("bit", "phase"))
+schemes = st.sampled_from(BASE_SCHEMES)
+
+
+@deterministic
+@given(n=st.integers(min_value=1, max_value=8), model=models, flavor=flavors, p=unit, mu=unit)
+def test_channel_weights_sum_to_one(n, model, flavor, p, mu):
+    channel = build_channel(ChannelParams(p=p, mu=mu, n=n, flavor=flavor, model=model))
+    assert abs(channel.total_weight() - 1.0) <= WEIGHT_SUM_TOL
+    assert all(w >= 0.0 for w, _ in channel.terms)
+
+
+@deterministic
+@given(scheme=schemes, model=models, p=unit, mu=unit)
+def test_fidelity_is_a_probability_and_matches_the_closed_form(scheme, model, p, mu):
+    r = evaluate(scheme, model, mu, p)
+    assert -1e-12 <= r.f_numeric <= 1.0 + 1e-12
+    if scheme == "unencoded":
+        assert r.f_closed_form is None
+    else:
+        assert abs(r.f_numeric - r.f_closed_form) <= CLOSED_FORM_TOL
+
+
+@deterministic
+@given(scheme=schemes, model=models, p=unit, mu=unit)
+def test_bit_and_phase_pipelines_agree(scheme, model, p, mu):
+    # each flavor through its own channel and its own recovery set, which is
+    # why evaluate needs no flavor argument
+    def fidelity(flavor: str) -> float:
+        params = ChannelParams(p=p, mu=mu, n=scheme_qubits(scheme), flavor=flavor, model=model)
+        channel = build_channel(params)
+        if scheme == "unencoded":
+            return entanglement_fidelity_unencoded(channel)
+        return entanglement_fidelity_corrected(channel, scheme_recovery(scheme, flavor)[1])
+
+    assert abs(fidelity("bit") - fidelity("phase")) <= FLAVOR_TOL
