@@ -36,7 +36,6 @@ from .fidelity import (
     entanglement_fidelity_corrected,
     entanglement_fidelity_unencoded,
     evaluate,
-    failure_probability,
     threshold_mu,
 )
 from .pauli import (

@@ -30,11 +30,21 @@ evaluated exactly as published; ``closed_form`` returns None for any other
 pair (``unencoded``).  A scheme is *effective* at (mu, p) when
 its failure probability 1 - F stays strictly below the bare error
 probability p; threshold curves report where that holds.
+
+Thresholds do not use the published tables: for these Pauli channels F is
+the total channel weight of the error strings the recovery undoes, which
+gives each (scheme, model) an integer-coefficient polynomial in (mu, p),
+derived once from the correctable set.  At a float p it becomes a
+polynomial in mu with exact rational coefficients, whose real roots are
+isolated and rounded with integer arithmetic only (``roots``), so no
+tolerance decides a sign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -53,11 +63,10 @@ from .errors import (
 )
 from .pauli import PauliString, apply_to_state
 from .recovery import RecoverySet, recovery_dense
-from .schemes import resolve_scheme, scheme_qubits, scheme_recovery
+from .roots import sign_structure
+from .schemes import resolve_scheme, scheme_correctable, scheme_qubits, scheme_recovery
 
 COMPLEMENT_TRACE_TOL = 1e-10
-THRESHOLD_GRID_POINTS = 1024
-THRESHOLD_ZERO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -259,83 +268,31 @@ def evaluate(scheme: str, model: int, mu: float, p: float) -> FidelityResult:
     )
 
 
-def failure_probability(scheme: str, model: int, mu: float, p: float) -> float:
-    """1 - F, from the closed form when published, else the numeric pipeline."""
-    cf = closed_form(scheme, model, mu, p)
-    if cf is not None:
-        return 1.0 - cf
-    return evaluate(scheme, model, mu, p).failure_prob
-
-
 def threshold_mu(scheme: str, model: int, p: float) -> ThresholdPoint:
     """Where, in mu, the scheme beats the bare error probability p.
 
-    Scans sign of failure_prob(mu) - p on a uniform grid, refines each sign
-    change by bisection, and reports the closed effective subintervals.
+    Solves g(mu) = 1 - F(mu, p) - p exactly on [0, 1] (``roots``), with F
+    the fidelity polynomial derived from the scheme's correctable set and p
+    taken as the dyadic rational it is.  Boundaries are the correctly
+    rounded roots where g changes sign; a root where g keeps its sign
+    bounds no region.
     """
     if not 0.0 < p < 1.0:
         raise ParameterError(f"p must lie strictly inside (0, 1), got {p}")
-
-    def excess(mu: float) -> float:
-        return failure_probability(scheme, model, mu, p) - p
-
-    grid = np.linspace(0.0, 1.0, THRESHOLD_GRID_POINTS)
-    values = [excess(float(mu)) for mu in grid]
-
-    def status(v: float) -> int:
-        if v < -THRESHOLD_ZERO_TOL:
-            return -1
-        if v > THRESHOLD_ZERO_TOL:
-            return 1
-        return 0
-
-    def bisect(lo: float, hi: float, flo: float) -> float:
-        # one strict sign change inside [lo, hi]
-        for _ in range(100):
-            if hi - lo <= 1e-13:
-                break
-            mid = 0.5 * (lo + hi)
-            fmid = excess(mid)
-            if fmid == 0.0:
-                return mid
-            if (fmid < 0.0) == (flo < 0.0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    statuses = [status(v) for v in values]
-    regions: list[tuple[float, float]] = []
-    crossings: list[float] = []
-    i = 0
-    while i < THRESHOLD_GRID_POINTS:
-        if statuses[i] > 0:
-            i += 1
-            continue
-        j = i
-        while j + 1 < THRESHOLD_GRID_POINTS and statuses[j + 1] <= 0:
-            j += 1
-        if any(statuses[k] < 0 for k in range(i, j + 1)):
-            if i == 0:
-                lo = 0.0
-            elif statuses[i] == 0:
-                # the boundary solves failure prob = p exactly on a grid point
-                lo = float(grid[i])
-                crossings.append(lo)
-            else:
-                lo = bisect(float(grid[i - 1]), float(grid[i]), values[i - 1])
-                crossings.append(lo)
-            if j == THRESHOLD_GRID_POINTS - 1:
-                hi = 1.0
-            elif statuses[j] == 0:
-                hi = float(grid[j])
-                crossings.append(hi)
-            else:
-                hi = bisect(float(grid[j]), float(grid[j + 1]), values[j])
-                crossings.append(hi)
-            regions.append((lo, hi))
-        i = j + 1
-
+    base, _ = resolve_scheme(scheme)
+    g = _excess_at(_fidelity_polynomial(base, model), p)
+    if not g:
+        # failure probability equals p for every mu: never strictly better
+        return ThresholdPoint(p=p, mu_star=None, branch="none", regions=())
+    edges, signs = sign_structure(g)
+    regions = []
+    for effective, run in groupby(range(len(signs)), key=lambda i: signs[i] < 0):
+        if effective:
+            gaps = list(run)
+            regions.append((edges[gaps[0]], edges[gaps[-1] + 1]))
+    crossings = [
+        edges[i] for i in range(1, len(signs)) if (signs[i - 1] < 0) != (signs[i] < 0)
+    ]
     return ThresholdPoint(
         p=p,
         mu_star=crossings[0] if crossings else None,
@@ -345,13 +302,12 @@ def threshold_mu(scheme: str, model: int, p: float) -> ThresholdPoint:
 
 
 def _branch(regions: list[tuple[float, float]]) -> str:
-    edge = THRESHOLD_ZERO_TOL
     if not regions:
         return "none"
     if len(regions) == 1:
         lo, hi = regions[0]
-        starts_at_zero = lo <= edge
-        ends_at_one = hi >= 1.0 - edge
+        starts_at_zero = lo == 0.0
+        ends_at_one = hi == 1.0
         if starts_at_zero and ends_at_one:
             return "all"
         if starts_at_zero:
@@ -359,6 +315,95 @@ def _branch(regions: list[tuple[float, float]]) -> str:
         if ends_at_one:
             return "above"
         return "inside"
-    if len(regions) == 2 and regions[0][0] <= edge and regions[1][1] >= 1.0 - edge:
+    if len(regions) == 2 and regions[0][0] == 0.0 and regions[1][1] == 1.0:
         return "outside"
     return "mixed"
+
+
+# --- derived fidelity polynomials ------------------------------------------
+#
+# A polynomial in (mu, p) is a dict {(mu power, p power): integer coefficient}.
+
+_ONE = {(0, 0): 1}
+_MU = {(1, 0): 1}
+_P = {(0, 1): 1}
+
+
+def _combine(*terms: tuple[int, dict]) -> dict:
+    """Sum of c * poly over the (c, poly) pairs."""
+    out: dict[tuple[int, int], int] = {}
+    for c, poly in terms:
+        for key, v in poly.items():
+            out[key] = out.get(key, 0) + c * v
+    return out
+
+
+def _times(*polys: dict) -> dict:
+    out = _ONE
+    for poly in polys:
+        acc: dict[tuple[int, int], int] = {}
+        for (i, j), a in out.items():
+            for (k, l), b in poly.items():
+                acc[i + k, j + l] = acc.get((i + k, j + l), 0) + a * b
+        out = acc
+    return out
+
+
+def _mask_weight(model: int, n: int, mask: int) -> dict:
+    """Channel weight of the error string on ``mask`` (bit k-1 = qubit k)."""
+    q = _combine((1, _ONE), (-1, _P))
+    keep = _combine((1, _ONE), (-1, _MU))
+    marginal = (q, _P)
+    flips = [(mask >> k) & 1 for k in range(n)]
+    if model == MODEL_I:
+        # P(i_1) times the chain factors (1 - mu) P(i_k) + mu delta(i_k, i_{k-1})
+        factors = [marginal[flips[0]]]
+        for prev, cur in zip(flips, flips[1:]):
+            factors.append(_combine((1, _times(keep, marginal[cur])), (prev == cur, _MU)))
+        return _times(*factors)
+    k = mask.bit_count()
+    survive = _times(*[q] * n)
+    return _combine(
+        (1, _times(keep, *[_P] * k, *[q] * (n - k))),
+        (mask == 0, _times(_MU, survive)),
+        (mask == (1 << n) - 1, _combine((1, _MU), (-1, _times(_MU, survive)))),
+    )
+
+
+@lru_cache(maxsize=None)
+def _fidelity_polynomial(base: str, model: int) -> tuple[tuple[int, ...], ...]:
+    """F(mu, p) derived from the code; row i lists the p-coefficients of mu^i.
+
+    F is the total channel weight of the error strings the recovery undoes:
+    the correctable set, which the recovery operators' members partition.
+    The unencoded qubit keeps only the error-free term.
+    """
+    if model not in (MODEL_I, MODEL_II):
+        raise ParameterError(f"model must be {MODEL_I} or {MODEL_II}, got {model}")
+    if base == "unencoded":
+        n, masks = 1, [0]
+    else:
+        code, correctable = scheme_correctable(base, "bit")
+        n, masks = code.n, [op.x_mask for op in correctable]
+    terms = _combine(*[(1, _mask_weight(model, n, m)) for m in masks])
+    terms = {key: c for key, c in terms.items() if c}
+    rows = [[0] * (1 + max(j for _, j in terms)) for _ in range(1 + max(i for i, _ in terms))]
+    for (i, j), c in terms.items():
+        rows[i][j] = c
+    return tuple(tuple(row) for row in rows)
+
+
+def _excess_at(rows: tuple[tuple[int, ...], ...], p: float) -> list[int]:
+    """Integer coefficients in mu of a positive multiple of 1 - F(mu, p) - p.
+
+    p is the dyadic rational a / b it is; the multiple is b^deg.  Trailing
+    zeros are dropped, so the list is empty when 1 - F - p vanishes.
+    """
+    a, b = float(p).as_integer_ratio()
+    deg = max(1, max(len(row) for row in rows) - 1)
+    scale = [a**j * b ** (deg - j) for j in range(deg + 1)]
+    g = [-sum(c * s for c, s in zip(row, scale)) for row in rows]
+    g[0] += scale[0] - scale[1]
+    while g and g[-1] == 0:
+        g.pop()
+    return g

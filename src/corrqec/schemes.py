@@ -8,8 +8,8 @@ synthesis and test coverage.  Scheme names accepted on the command line:
     phase3, dfs2-phase, concat6-phase   -- aliases forcing the phase flavor
 
 The correctable set, and hence the recovery structure, depends only on the
-code and the channel's operator support, never on (p, mu); recovery sets
-are therefore cached per (scheme, flavor).
+code and the channel's operator support, never on (p, mu); correctable
+sets and recovery sets are therefore cached per (scheme, flavor).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from . import codes
 from .channels import FLAVOR_BIT, FLAVOR_PHASE, MODEL_I, ChannelParams, model1_channel
 from .codes import QuantumCode
 from .errors import ParameterError
+from .pauli import PauliString
 from .recovery import RecoverySet, build_recovery, correctable_set
 
 BASE_SCHEMES = ("bit3", "dfs2", "concat6", "unencoded")
@@ -77,8 +78,8 @@ def build_code(base: str, flavor: str) -> QuantumCode | None:
 
 
 @lru_cache(maxsize=None)
-def scheme_recovery(base: str, flavor: str) -> tuple[QuantumCode, RecoverySet]:
-    """Code plus synthesized recovery for an encoded scheme (cached).
+def scheme_correctable(base: str, flavor: str) -> tuple[QuantumCode, tuple[PauliString, ...]]:
+    """Code plus the correctable error set of an encoded scheme (cached).
 
     The channel used for the derivation only supplies the operator support,
     which is the full set of X-strings (Z-strings) on n qubits for both
@@ -88,6 +89,11 @@ def scheme_recovery(base: str, flavor: str) -> tuple[QuantumCode, RecoverySet]:
     if code is None:
         raise ParameterError("the unencoded scheme has no recovery operation")
     params = ChannelParams(p=0.5, mu=0.5, n=code.n, flavor=flavor, model=MODEL_I)
-    channel = model1_channel(params)
-    correctable = correctable_set(code, channel)
-    return code, build_recovery(code, correctable)
+    return code, tuple(correctable_set(code, model1_channel(params)))
+
+
+@lru_cache(maxsize=None)
+def scheme_recovery(base: str, flavor: str) -> tuple[QuantumCode, RecoverySet]:
+    """Code plus synthesized recovery for an encoded scheme (cached)."""
+    code, correctable = scheme_correctable(base, flavor)
+    return code, build_recovery(code, list(correctable))

@@ -9,6 +9,10 @@ point; the memoized kernel must reproduce it bit for bit.
 mask by mask; the channel builders must reproduce them bit for bit.
 ``per_row_dense_fidelity`` takes one dense dot product per (term, recovery
 operator) pair; the library's dense oracle must agree with it to rounding.
+``scan_threshold_mu`` is the former threshold solver: a 1024-point scan of
+the failure probability (closed form, else the numeric pipeline) minus p,
+refined by float bisection; the exact solver must agree with it to the
+scan's accuracy.
 """
 
 import math
@@ -16,7 +20,7 @@ import math
 import numpy as np
 
 from corrqec.errors import ContractViolationError
-from corrqec.fidelity import COMPLEMENT_TRACE_TOL
+from corrqec.fidelity import COMPLEMENT_TRACE_TOL, ThresholdPoint, closed_form, evaluate
 from corrqec.pauli import apply_to_state
 
 I2 = np.eye(2, dtype=complex)
@@ -127,3 +131,101 @@ def per_row_dense_fidelity(channel, rs):
             t = row @ a_transposed
             total += t.real**2 + t.imag**2
     return float(total / 4.0)
+
+
+SCAN_GRID_POINTS = 1024
+SCAN_ZERO_TOL = 1e-12
+
+
+def scan_threshold_mu(scheme, model, p):
+    """Sign of failure_prob(mu) - p on a uniform grid, each change bisected."""
+
+    def excess(mu):
+        cf = closed_form(scheme, model, mu, p)
+        failure = 1.0 - cf if cf is not None else evaluate(scheme, model, mu, p).failure_prob
+        return failure - p
+
+    grid = np.linspace(0.0, 1.0, SCAN_GRID_POINTS)
+    values = [excess(float(mu)) for mu in grid]
+
+    def status(v):
+        if v < -SCAN_ZERO_TOL:
+            return -1
+        if v > SCAN_ZERO_TOL:
+            return 1
+        return 0
+
+    def bisect(lo, hi, flo):
+        # one strict sign change inside [lo, hi]
+        for _ in range(100):
+            if hi - lo <= 1e-13:
+                break
+            mid = 0.5 * (lo + hi)
+            fmid = excess(mid)
+            if fmid == 0.0:
+                return mid
+            if (fmid < 0.0) == (flo < 0.0):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    statuses = [status(v) for v in values]
+    last = SCAN_GRID_POINTS - 1
+    regions = []
+    crossings = []
+    i = 0
+    while i <= last:
+        if statuses[i] > 0:
+            i += 1
+            continue
+        j = i
+        while j < last and statuses[j + 1] <= 0:
+            j += 1
+        if any(statuses[k] < 0 for k in range(i, j + 1)):
+            if i == 0:
+                lo = 0.0
+            elif statuses[i] == 0:
+                # the boundary solves failure prob = p exactly on a grid point
+                lo = float(grid[i])
+                crossings.append(lo)
+            else:
+                lo = bisect(float(grid[i - 1]), float(grid[i]), values[i - 1])
+                crossings.append(lo)
+            if j == last:
+                hi = 1.0
+            elif statuses[j] == 0:
+                hi = float(grid[j])
+                crossings.append(hi)
+            else:
+                hi = bisect(float(grid[j]), float(grid[j + 1]), values[j])
+                crossings.append(hi)
+            regions.append((lo, hi))
+        i = j + 1
+
+    return ThresholdPoint(
+        p=p,
+        mu_star=crossings[0] if crossings else None,
+        branch=_scan_branch(regions),
+        regions=tuple(regions),
+    )
+
+
+def _scan_branch(regions):
+    edge = SCAN_ZERO_TOL
+    if not regions:
+        return "none"
+    if len(regions) == 1:
+        lo, hi = regions[0]
+        starts_at_zero = lo <= edge
+        ends_at_one = hi >= 1.0 - edge
+        if starts_at_zero and ends_at_one:
+            return "all"
+        if starts_at_zero:
+            return "below"
+        if ends_at_one:
+            return "above"
+        return "inside"
+    if len(regions) == 2 and regions[0][0] <= edge and regions[1][1] >= 1.0 - edge:
+        return "outside"
+    return "mixed"

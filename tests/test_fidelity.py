@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from _oracles import per_point_fidelity, per_row_dense_fidelity
+from _oracles import per_point_fidelity, per_row_dense_fidelity, scan_threshold_mu
 from corrqec import fidelity
 
 from corrqec.channels import (
@@ -23,11 +25,10 @@ from corrqec.fidelity import (
     entanglement_fidelity_corrected,
     entanglement_fidelity_unencoded,
     evaluate,
-    failure_probability,
     threshold_mu,
 )
 from corrqec.recovery import RecoverySet
-from corrqec.schemes import scheme_recovery
+from corrqec.schemes import scheme_correctable, scheme_recovery
 
 
 def channel(model, n, p, mu, flavor="bit"):
@@ -224,14 +225,14 @@ def test_threshold_dfs_model2():
     lo, hi = tp.regions[0]
     assert abs(lo - 4.0 / 9.0) < 1e-6 and hi == 1.0
     # crossing really sits on the boundary
-    assert abs(failure_probability("dfs2", MODEL_II, tp.mu_star, 0.1) - 0.1) < 1e-10
+    assert abs(1.0 - closed_form("dfs2", MODEL_II, tp.mu_star, 0.1) - 0.1) < 1e-10
 
 
 def test_threshold_bit3_model2():
     tp = threshold_mu("bit3", MODEL_II, 0.1)
     assert tp.branch == "below"
     assert abs(tp.mu_star - 0.2963) < 1e-4
-    assert abs(failure_probability("bit3", MODEL_II, tp.mu_star, 0.1) - 0.1) < 1e-10
+    assert abs(1.0 - closed_form("bit3", MODEL_II, tp.mu_star, 0.1) - 0.1) < 1e-10
 
 
 def test_threshold_concat_model2_effective_everywhere():
@@ -265,22 +266,131 @@ def test_threshold_concat_model1_has_dead_band():
     assert hi1 < lo2
     # boundaries solve failure prob = p
     for mu_star in (hi1, lo2):
-        assert abs(failure_probability("concat6", MODEL_I, mu_star, 0.1) - 0.1) < 1e-10
+        assert abs(1.0 - closed_form("concat6", MODEL_I, mu_star, 0.1) - 0.1) < 1e-10
 
 
 def test_threshold_crossing_on_a_grid_point():
     # at p = 0.25 the crossing is exactly 1/3 = 341/1023, a point of the
-    # default 1024-point scan grid; it must still be reported as mu_star
+    # 1024-point reference scan grid; it must still be reported as mu_star
     tp = threshold_mu("dfs2", MODEL_II, 0.25)
     assert tp.branch == "above"
     assert tp.mu_star is not None
     assert abs(tp.mu_star - 1.0 / 3.0) < 1e-10
-    assert abs(failure_probability("dfs2", MODEL_II, tp.mu_star, 0.25) - 0.25) < 1e-10
+    assert abs(1.0 - closed_form("dfs2", MODEL_II, tp.mu_star, 0.25) - 0.25) < 1e-10
 
 
 def test_threshold_numeric_fallback_unencoded():
-    tp = threshold_mu("unencoded", MODEL_I, 0.1)
-    assert tp.branch == "none"  # failure prob equals p exactly, never below
+    for model in (MODEL_I, MODEL_II):
+        tp = threshold_mu("unencoded", model, 0.1)
+        # failure prob equals p exactly, never below
+        assert (tp.branch, tp.mu_star, tp.regions) == ("none", None, ())
+
+
+def _derived(rows, mu, p):
+    return sum(mu**i * sum(c * p**j for j, c in enumerate(row)) for i, row in enumerate(rows))
+
+
+def test_derived_polynomials_equal_the_published_closed_forms():
+    # degree <= 6 in mu and <= 7 in p, above every published polynomial, is
+    # fixed by its values on a 7 x 8 grid, so agreement there is identity
+    mus = [Fraction(i, 6) for i in range(7)]
+    ps = [Fraction(j, 7) for j in range(8)]
+    for base, model in fidelity._CLOSED_FORMS:
+        rows = fidelity._fidelity_polynomial(base, model)
+        assert len(rows) <= 7 and max(len(row) for row in rows) <= 8
+        published = fidelity._CLOSED_FORMS[base, model]
+        for mu in mus:
+            for p in ps:
+                assert _derived(rows, mu, p) == published(mu, p), (base, model, mu, p)
+
+
+def test_recovery_members_partition_the_correctable_set():
+    # the derivation sums the weights of the correctable set, which are the
+    # error strings the recovery operators map back
+    for base in ("bit3", "dfs2", "concat6"):
+        _, correctable = scheme_correctable(base, "bit")
+        _, rs = scheme_recovery(base, "bit")
+        members = [op for rop in rs.ops for op in rop.members]
+        assert len(members) == len(correctable) == len(set(correctable))
+        assert set(members) == set(correctable)
+
+
+def test_unencoded_derives_one_minus_p():
+    for model in (MODEL_I, MODEL_II):
+        assert fidelity._fidelity_polynomial("unencoded", model) == ((1, -1),)
+
+
+# p values for the exact-root tests: 1e-13 was reported as "none" by a scan
+# whose zero band was 1e-12 wide
+EXACT_ROOT_P = (
+    1e-13, 1e-6, 0.001, 0.01, 0.05, 0.1, 0.123, 0.15, 0.2, 0.25,
+    0.3, 1.0 / 3.0, 0.35, 0.4, 0.42, 0.45, 0.47, 0.49, 0.499, 0.4999,
+)
+
+
+def test_threshold_linear_roots_are_correctly_rounded():
+    # where 1 - F - p is linear in mu its root is a rational function of p;
+    # float(Fraction) rounds it correctly
+    for p in EXACT_ROOT_P:
+        q = Fraction(p)
+        dfs_root = float(1 - 1 / (2 * (1 - q)))
+        for model in (MODEL_I, MODEL_II):
+            tp = threshold_mu("dfs2", model, p)
+            assert tp.branch == "above" and tp.mu_star == dfs_root, (model, p)
+            assert tp.regions == ((dfs_root, 1.0),)
+        bit_root = float((1 - 2 * q) / (3 * (1 - q)))
+        tp = threshold_mu("bit3", MODEL_II, p)
+        assert tp.branch == "below" and tp.mu_star == bit_root, p
+        assert tp.regions == ((0.0, bit_root),)
+    # 4/9 and 1/3, the crossings at p = 0.1 and p = 0.25
+    assert threshold_mu("dfs2", MODEL_II, 0.1).mu_star == 4 / 9
+    assert threshold_mu("dfs2", MODEL_II, 0.25).mu_star == 1 / 3
+
+
+def test_threshold_tangential_touch_is_no_boundary():
+    # bit3 model 1: 1 - F - p = -p(1-p)(1-2p)(1-mu)^2, a double root at mu = 1
+    for p in (1e-13, 0.01, 0.1, 0.3, 0.49):
+        tp = threshold_mu("bit3", MODEL_I, p)
+        assert (tp.branch, tp.mu_star, tp.regions) == ("all", None, ((0.0, 1.0),)), p
+    # at p = 1/2 the failure probability equals p for every mu
+    tp = threshold_mu("bit3", MODEL_I, 0.5)
+    assert (tp.branch, tp.mu_star, tp.regions) == ("none", None, ())
+
+
+def test_threshold_matches_the_former_scan():
+    for scheme in ("dfs2", "bit3", "concat6", "unencoded"):
+        for model in (MODEL_I, MODEL_II):
+            for p in np.linspace(0.005, 0.495, 40):
+                exact = threshold_mu(scheme, model, float(p))
+                scan = scan_threshold_mu(scheme, model, float(p))
+                where = (scheme, model, float(p))
+                assert exact.branch == scan.branch, where
+                assert len(exact.regions) == len(scan.regions), where
+                assert (exact.mu_star is None) == (scan.mu_star is None), where
+                if exact.mu_star is not None:
+                    assert abs(exact.mu_star - scan.mu_star) <= 1e-11, where
+                for got, ref in zip(exact.regions, scan.regions):
+                    assert max(abs(got[0] - ref[0]), abs(got[1] - ref[1])) <= 1e-11, where
+
+
+def test_threshold_evaluates_no_point(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("evaluate", "closed_form", "build_channel"):
+        monkeypatch.setattr(fidelity, name, counted(name, getattr(fidelity, name)))
+    # the first call derives the polynomial, and must not evaluate either
+    fidelity._fidelity_polynomial.cache_clear()
+    for scheme in ("dfs2", "bit3", "concat6", "unencoded"):
+        for model in (MODEL_I, MODEL_II):
+            threshold_mu(scheme, model, 0.1)
+    assert calls == []
 
 
 def test_threshold_p_range_validation():
