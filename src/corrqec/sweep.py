@@ -18,6 +18,8 @@ from .fidelity import FidelityResult, ThresholdPoint, evaluate, threshold_mu
 CSV_HEADER = "model,scheme,mu,p,fidelity_numeric,fidelity_closed_form,abs_diff,failure_prob"
 THRESHOLD_CSV_HEADER = "model,scheme,p,mu_star,branch,regions"
 OUTPUT_FORMATS = ("csv", "json")
+# a range grid is built in memory; more points than this is refused, not allocated
+MAX_RANGE_STEPS = 1_000_000
 
 
 def fmt_float(x: float) -> str:
@@ -42,8 +44,8 @@ def parse_range(text: str) -> tuple[float, ...]:
         steps = int(parts[2])
     except ValueError as exc:
         raise ParameterError(f"could not parse range {text!r}: {exc}") from None
-    if steps < 1:
-        raise ParameterError(f"steps must be >= 1, got {steps}")
+    if not 1 <= steps <= MAX_RANGE_STEPS:
+        raise ParameterError(f"steps must lie in [1, {MAX_RANGE_STEPS}], got {steps}")
     if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
         raise ParameterError(f"range endpoints must lie in [0, 1], got {text!r}")
     if lo > hi:

@@ -14,6 +14,7 @@ from corrqec.fidelity import evaluate, threshold_mu
 from corrqec.recovery import build_recovery, correctable_set
 from corrqec.sweep import (
     CSV_HEADER,
+    MAX_RANGE_STEPS,
     THRESHOLD_CSV_HEADER,
     ThresholdRow,
     parse_range,
@@ -347,6 +348,19 @@ def test_single_step_range_needs_equal_endpoints(capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_huge_step_count_is_refused(capsys):
+    # refused before any grid is allocated: one error line, exit 2
+    with pytest.raises(ParameterError):
+        parse_range(f"0:1:{MAX_RANGE_STEPS + 1}")
+    code, out, err = run_cli(
+        capsys, "fidelity", "--model", "1", "--scheme", "bit3", "--p", "0.1",
+        "--mu-range", "0:1:99999999999",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "99999999999" in err
 
 
 def test_flavor_symmetry_suite_fails_on_a_wrong_phase_code(capsys, monkeypatch):
