@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channels import (
     MODEL_I,
     MODEL_II,
@@ -85,6 +83,7 @@ def closed_form_agreement(grid_steps: int, inject: str | None = None) -> SuiteRe
         raise ParameterError(
             f"cannot inject an error into {inject!r}; known: {', '.join(CLOSED_FORM_KEYS)}"
         )
+    import numpy as np
     grid = np.linspace(0.0, 1.0, grid_steps)
     worst = 0.0
     worst_case = ""
@@ -131,6 +130,7 @@ def recovery_trace_preservation() -> SuiteResult:
 
 def sparse_dense_agreement() -> SuiteResult:
     """Sparse fidelity path vs dense-matrix oracle at random parameter points."""
+    import numpy as np
     rng = np.random.default_rng(SPARSE_DENSE_SEED)
     worst = 0.0
     for base in _ENCODED:
@@ -203,6 +203,7 @@ def flavor_symmetry() -> SuiteResult:
     Each flavor runs through its own channel and its own recovery set, not
     through ``evaluate``, which maps the phase flavor onto the bit flavor.
     """
+    import numpy as np
     grid = np.linspace(0.0, 1.0, FLAVOR_GRID_STEPS)
 
     def fidelity(base: str, flavor: str, model: int, mu: float, p: float) -> float:
@@ -243,6 +244,7 @@ def model_mu0_agreement() -> SuiteResult:
 
 def endpoint_identities() -> SuiteResult:
     """Fidelity limits forced by the polynomials' structure."""
+    import numpy as np
     worst = 0.0
     ps = np.linspace(0.0, 1.0, 11)
     for p in ps:
@@ -264,6 +266,7 @@ def endpoint_identities() -> SuiteResult:
 
 def threshold_reproduction() -> SuiteResult:
     """Model II effectiveness boundaries at p = 0.1."""
+    import numpy as np
     problems = []
     worst = 0.0
 

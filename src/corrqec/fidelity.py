@@ -46,8 +46,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 
-import numpy as np
-
 from .channels import (
     MODEL_I,
     MODEL_II,
@@ -159,6 +157,7 @@ def dense_oracle_fidelity(channel: NoiseChannel, rs: RecoverySet) -> float:
         raise CapacityError(f"dense oracle supports n <= 6, got {code.n}")
     if channel.n != code.n:
         raise DimensionError(f"channel acts on {channel.n} qubits, code has {code.n}")
+    import numpy as np
     d0 = code.logical_zero.dense()
     d1 = code.logical_one.dense()
     proj = np.outer(d0, d0.conj()) + np.outer(d1, d1.conj())

@@ -21,24 +21,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .errors import ContractViolationError, DimensionError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PRUNE_TOL = 1e-14
 NORM_TOL = 1e-12
 
 _UNITS = (1 + 0j, 1j, -1 + 0j, -1j)
 
-# single-qubit factors of dense(), indexed by x_bit + 2 * z_bit; XZ is written
-# out because a matmul at import time would initialise BLAS for every process
-_DENSE_FACTORS = (
-    np.array([[1, 0], [0, 1]], dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-    np.array([[0, -1], [1, 0]], dtype=complex),
-)
+
+@lru_cache(maxsize=None)
+def _dense_factors():
+    """Single-qubit factors of dense(), indexed by x_bit + 2 * z_bit.
+
+    Built on the first dense() call, so that only dense work imports numpy;
+    XZ is written out because a matmul would initialise BLAS.
+    """
+    import numpy as np
+    return tuple(
+        np.array(m, dtype=complex)
+        for m in ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, -1]], [[0, -1], [1, 0]])
+    )
 
 
 @dataclass(frozen=True)
@@ -95,9 +103,11 @@ class PauliString:
         The Kronecker product sign * F_n (x) ... (x) F_1, built from qubit 1
         outwards as m <- F_q (x) m, with m the contiguous inner block.
         """
+        import numpy as np
+        factors = _dense_factors()
         m = np.array([[self.sign]])
         for q in range(self.n):
-            f = _DENSE_FACTORS[((self.x_mask >> q) & 1) + 2 * ((self.z_mask >> q) & 1)]
+            f = factors[((self.x_mask >> q) & 1) + 2 * ((self.z_mask >> q) & 1)]
             r = m.shape[0]
             m = (f[:, None, :, None] * m[None, :, None, :]).reshape(2 * r, 2 * r)
         return m
@@ -201,6 +211,7 @@ class SparseState:
         )
 
     def dense(self) -> np.ndarray:
+        import numpy as np
         v = np.zeros(1 << self.n, dtype=complex)
         for idx, amp in self.amplitudes.items():
             v[idx] = amp

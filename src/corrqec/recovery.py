@@ -27,16 +27,19 @@ index and attached as the projector R_perp.
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .channels import NoiseChannel
 from .codes import QuantumCode
 from .errors import ContractViolationError, DimensionError, ParameterError
 from .pauli import PauliString, SparseState, apply_to_state, matrix_element, multiply
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DETECT_TOL = 1e-10
 # seeded reorderings of each kind tried by alternative_maximal_sets
@@ -201,33 +204,39 @@ def build_recovery(code: QuantumCode, correctable: list[PauliString]) -> Recover
 
 
 def _complement_basis(n: int, ops: tuple[RecoveryOp, ...]) -> list[SparseState]:
-    """Gram-Schmidt completion of the syndrome spaces, seeded by basis kets."""
+    """Gram-Schmidt completion of the syndrome spaces, seeded by basis kets.
+
+    Sparse: the seed |k> loses conj(u[k]) u for each syndrome vector u, then
+    its projection onto each complement vector found so far, one at a time.
+    """
     dim = 1 << n
     missing = dim - 2 * len(ops)
     if missing == 0:
         return []
-    span = np.zeros((2 * len(ops), dim), dtype=complex)
-    for i, op in enumerate(ops):
-        span[2 * i] = op.v0.dense()
-        span[2 * i + 1] = op.v1.dense()
-    basis: list[np.ndarray] = []
+    span = [s.amplitudes for op in ops for s in (op.v0, op.v1)]
+    basis: list[dict[int, complex]] = []
     for seed in range(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[seed] = 1.0
-        v -= (span.conj() @ v) @ span
+        v = {seed: 1.0 + 0j}
+        for u in span:
+            if seed in u:
+                _subtract(v, u[seed].conjugate(), u)
         for b in basis:
-            v -= (b.conj() @ v) * b
-        nrm = float(np.linalg.norm(v))
+            _subtract(v, sum(a.conjugate() * v[k] for k, a in b.items() if k in v), b)
+        values = v.values()
+        nrm = math.sqrt(sum(a.real * a.real for a in values) + sum(a.imag * a.imag for a in values))
         if nrm > 1e-8:
-            basis.append(v / nrm)
+            basis.append({k: a / nrm for k, a in v.items()})
         if len(basis) == missing:
             break
     if len(basis) != missing:
         raise ContractViolationError("complement basis construction fell short")
-    return [
-        SparseState(n, {i: complex(a) for i, a in enumerate(v) if abs(a) > 1e-14})
-        for v in basis
-    ]
+    return [SparseState(n, b) for b in basis]
+
+
+def _subtract(v: dict[int, complex], c: complex, u: dict[int, complex]) -> None:
+    """v -= c * u, in place."""
+    for k, a in u.items():
+        v[k] = v.get(k, 0j) - c * a
 
 
 def recovery_dense(rs: RecoverySet) -> Iterator[np.ndarray]:
@@ -236,6 +245,7 @@ def recovery_dense(rs: RecoverySet) -> Iterator[np.ndarray]:
     Yields one matrix at a time, so a caller that consumes each one holds a
     single matrix rather than all of them.
     """
+    import numpy as np
     d0 = rs.code.logical_zero.dense()
     d1 = rs.code.logical_one.dense()
     for op in rs.ops:
@@ -247,6 +257,7 @@ def recovery_dense(rs: RecoverySet) -> Iterator[np.ndarray]:
 
 def trace_preservation_deviation(rs: RecoverySet) -> float:
     """max |sum_l R_l^dag R_l (+ R_perp^dag R_perp) - I| assembled densely."""
+    import numpy as np
     dim = 1 << rs.code.n
     total = np.zeros((dim, dim), dtype=complex)
     for mat in recovery_dense(rs):

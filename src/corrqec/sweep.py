@@ -10,8 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ParameterError
 from .fidelity import FidelityResult, ThresholdPoint, evaluate, threshold_mu
 
@@ -54,7 +52,18 @@ def parse_range(text: str) -> tuple[float, ...]:
     if steps == 1 and lo < hi:
         # one point cannot include both endpoints
         raise ParameterError(f"a single step needs min == max, got {text!r}")
-    return tuple(float(v) for v in np.linspace(lo, hi, steps))
+    # numpy.linspace's arithmetic, so that the grid equals it bit for bit
+    div = steps - 1
+    delta = hi - lo
+    step = delta / div if div else delta
+    if div and step == 0.0:
+        # delta / div underflowed to zero: scale before multiplying
+        grid = [i / div * delta + lo for i in range(steps)]
+    else:
+        grid = [i * step + lo for i in range(steps)]
+    if div:
+        grid[-1] = hi
+    return tuple(grid)
 
 
 def run_sweep(
