@@ -13,6 +13,8 @@ operator) pair; the library's dense oracle must agree with it to rounding.
 the failure probability (closed form, else the numeric pipeline) minus p,
 refined by float bisection; the exact solver must agree with it to the
 scan's accuracy.
+``dense_complement_basis`` is the former complement completion: a dense
+numpy Gram-Schmidt over basis kets; the sparse one must reproduce it.
 """
 
 import math
@@ -21,7 +23,7 @@ import numpy as np
 
 from corrqec.errors import ContractViolationError
 from corrqec.fidelity import COMPLEMENT_TRACE_TOL, ThresholdPoint, closed_form, evaluate
-from corrqec.pauli import apply_to_state
+from corrqec.pauli import SparseState, apply_to_state
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -229,3 +231,33 @@ def _scan_branch(regions):
     if len(regions) == 2 and regions[0][0] <= edge and regions[1][1] >= 1.0 - edge:
         return "outside"
     return "mixed"
+
+
+def dense_complement_basis(n, ops):
+    """Gram-Schmidt completion of the syndrome spaces, seeded by basis kets."""
+    dim = 1 << n
+    missing = dim - 2 * len(ops)
+    if missing == 0:
+        return []
+    span = np.zeros((2 * len(ops), dim), dtype=complex)
+    for i, op in enumerate(ops):
+        span[2 * i] = dense_state(op.v0)
+        span[2 * i + 1] = dense_state(op.v1)
+    basis = []
+    for seed in range(dim):
+        v = np.zeros(dim, dtype=complex)
+        v[seed] = 1.0
+        v -= (span.conj() @ v) @ span
+        for b in basis:
+            v -= (b.conj() @ v) * b
+        nrm = float(np.linalg.norm(v))
+        if nrm > 1e-8:
+            basis.append(v / nrm)
+        if len(basis) == missing:
+            break
+    if len(basis) != missing:
+        raise ContractViolationError("complement basis construction fell short")
+    return [
+        SparseState(n, {i: complex(a) for i, a in enumerate(v) if abs(a) > 1e-14})
+        for v in basis
+    ]

@@ -285,6 +285,39 @@ def test_console_entry_point_runs():
     assert proc.stdout.splitlines()[0] == CSV_HEADER
 
 
+# every request runs in one fresh interpreter; numpy must stay unloaded after each
+NO_NUMPY_SCRIPT = """
+import contextlib, io, json, sys
+from corrqec import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+"""
+
+
+def test_fidelity_threshold_and_correctable_do_not_load_numpy():
+    requests = [
+        ["fidelity", "--model", "2", "--scheme", "dfs2,bit3,concat6",
+         "--p", "0.1", "--mu-range", "0:1:101"],
+        ["threshold", "--model", "2", "--scheme", "dfs2,bit3,concat6,unencoded",
+         "--p-range", "0.05:0.45:9"],
+        ["correctable", "--scheme", "concat6"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT, json.dumps(requests)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the dense suites still import it where they need it
+    proc = subprocess.run(
+        [sys.executable, "-m", "corrqec.cli", "verify", "--suite", "sparse-dense"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("[PASS] sparse-dense")
+
+
 @pytest.mark.parametrize("grid", ["0", "-3"])
 def test_verify_rejects_grid_below_one(capsys, grid):
     with pytest.raises(SystemExit) as exc:

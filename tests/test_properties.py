@@ -4,7 +4,8 @@ Every test is derandomized and keeps no example database, so a run draws
 the same examples each time.
 """
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrqec.channels import MODEL_I, MODEL_II, WEIGHT_SUM_TOL, ChannelParams, build_channel
@@ -15,6 +16,7 @@ from corrqec.fidelity import (
     evaluate,
 )
 from corrqec.schemes import BASE_SCHEMES, scheme_qubits, scheme_recovery
+from corrqec.sweep import parse_range
 
 deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -56,3 +58,23 @@ def test_bit_and_phase_pipelines_agree(scheme, model, p, mu):
         return entanglement_fidelity_corrected(channel, scheme_recovery(scheme, flavor)[1])
 
     assert abs(fidelity("bit") - fidelity("phase")) <= FLAVOR_TOL
+
+
+@deterministic
+@given(ends=st.lists(unit, min_size=2, max_size=2), steps=st.integers(min_value=1, max_value=300))
+@example(ends=[0.0, 1.0], steps=101)
+@example(ends=[0.3, 0.3], steps=1)
+@example(ends=[0.25, 0.25], steps=7)
+@example(ends=[0.0, 5e-324], steps=4)  # (hi - lo) / 3 underflows to zero
+@example(ends=[0.0, 1e-323], steps=2)
+def test_range_grid_equals_numpy_linspace(ends, steps):
+    lo, hi = sorted(ends)
+    if steps == 1:
+        hi = lo
+    grid = parse_range(f"{lo!r}:{hi!r}:{steps}")
+    want = np.linspace(lo, hi, steps)
+    assert len(grid) == steps
+    # float.hex also tells -0.0 from 0.0, so the printed tables match too
+    assert [x.hex() for x in grid] == [float(x).hex() for x in want]
+    assert all(type(x) is float for x in grid)
+    assert grid[0] == lo and grid[-1] == hi

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from corrqec.channels import MODEL_I, ChannelParams, NoiseChannel, model1_channel
-from corrqec.codes import bitflip3, concatenate, dfs2, pattern_state
+from corrqec.codes import bitflip3, concatenate, dfs2, pattern_state, phaseflip3
 from corrqec.errors import ContractViolationError, ParameterError
 from corrqec.pauli import PauliString, apply_to_state, matrix_element
 from corrqec.recovery import (
@@ -17,7 +19,9 @@ from corrqec.recovery import (
     trace_preservation_deviation,
 )
 
-from _oracles import dense_state
+from corrqec.schemes import scheme_recovery
+
+from _oracles import dense_complement_basis, dense_state
 
 CONCAT = concatenate(dfs2("bit"), bitflip3(), label="concat6")
 
@@ -222,6 +226,43 @@ def test_recovery_corrects_each_member():
                         continue
                     t = other.v0.inner(y0) + other.v1.inner(y1)
                     assert abs(t) < 1e-12
+
+
+@pytest.mark.parametrize("flavor", ["bit", "phase"])
+@pytest.mark.parametrize("base", ["bit3", "dfs2", "concat6"])
+def test_complement_equals_the_dense_gram_schmidt(base, flavor):
+    _, rs = scheme_recovery(base, flavor)
+    reference = dense_complement_basis(rs.code.n, rs.ops)
+    assert [r.amplitudes for r in rs.complement] == [r.amplitudes for r in reference]
+
+
+LEAVES = {
+    "bit3": bitflip3(), "phase3": phaseflip3(), "dfs2": dfs2("bit"), "dfs2-phase": dfs2("phase"),
+}
+CONCATENATIONS = [
+    (top, bottom)
+    for top, bottom in itertools.product(LEAVES, repeat=2)
+    if LEAVES[top].n * LEAVES[bottom].n <= 6
+]
+
+
+@pytest.mark.parametrize("flavor", ["bit", "phase"])
+@pytest.mark.parametrize("top,bottom", CONCATENATIONS)
+def test_complement_of_concatenations(top, bottom, flavor):
+    # the sparse and the dense sums run in different orders, so only rounding
+    # may differ; the basis completes the syndrome spaces orthonormally
+    code = concatenate(LEAVES[top], LEAVES[bottom])
+    support = model1_channel(ChannelParams(p=0.5, mu=0.5, n=code.n, flavor=flavor))
+    rs = build_recovery(code, correctable_set(code, support))
+    reference = dense_complement_basis(code.n, rs.ops)
+    assert len(rs.complement) == len(reference) == (1 << code.n) - 2 * len(rs.ops)
+    for got, want in zip(rs.complement, reference):
+        assert got.isclose(want, tol=1e-12)
+    for i, r in enumerate(rs.complement):
+        for j, other in enumerate(rs.complement):
+            assert abs(r.inner(other) - (i == j)) <= 1e-12
+        for op in rs.ops:
+            assert abs(op.v0.inner(r)) <= 1e-12 and abs(op.v1.inner(r)) <= 1e-12
 
 
 def test_build_recovery_rejects_non_correctable_input():
