@@ -218,8 +218,7 @@ def _complement_basis(n: int, ops: tuple[RecoveryOp, ...]) -> list[SparseState]:
     for seed in range(dim):
         v = {seed: 1.0 + 0j}
         for u in span:
-            if seed in u:
-                _subtract(v, u[seed].conjugate(), u)
+            _subtract(v, u.get(seed, 0j).conjugate(), u)
         for b in basis:
             _subtract(v, sum(a.conjugate() * v[k] for k, a in b.items() if k in v), b)
         values = v.values()
@@ -234,9 +233,10 @@ def _complement_basis(n: int, ops: tuple[RecoveryOp, ...]) -> list[SparseState]:
 
 
 def _subtract(v: dict[int, complex], c: complex, u: dict[int, complex]) -> None:
-    """v -= c * u, in place."""
-    for k, a in u.items():
-        v[k] = v.get(k, 0j) - c * a
+    """v -= c * u, in place; a zero c adds no keys, so v stays sparse."""
+    if c:
+        for k, a in u.items():
+            v[k] = v.get(k, 0j) - c * a
 
 
 def recovery_dense(rs: RecoverySet) -> Iterator[np.ndarray]:
