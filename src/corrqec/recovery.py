@@ -221,6 +221,7 @@ def _complement_basis(n: int, ops: tuple[RecoveryOp, ...]) -> list[SparseState]:
             _subtract(v, u.get(seed, 0j).conjugate(), u)
         for b in basis:
             _subtract(v, sum(a.conjugate() * v[k] for k, a in b.items() if k in v), b)
+        # squared real parts, then imaginary parts, as numpy.linalg.norm sums them
         values = v.values()
         nrm = math.sqrt(sum(a.real * a.real for a in values) + sum(a.imag * a.imag for a in values))
         if nrm > 1e-8:
