@@ -109,12 +109,20 @@ def _chain_weights(n: int, p: float, mu: float) -> list[float]:
     P(i_1) * P(i_2 | i_1) * ... multiplied left to right.
     """
     q, keep = 1.0 - p, 1.0 - mu
-    # step[cur][prev] = P(i_k = cur | i_{k-1} = prev)
-    step = ((keep * q + mu, keep * q), (keep * p, keep * p + mu))
+    # P(i_k = cur | i_{k-1} = prev): stay0 = P(0|0), fall = P(0|1), rise = P(1|0), stay1 = P(1|1)
+    stay0, fall = keep * q + mu, keep * q
+    rise, stay1 = keep * p, keep * p + mu
     weights = [q, p]
     for _ in range(1, n):
+        # the previous qubit (the current high bit) is 0 in the low half of the masks
         half = len(weights) // 2
-        weights = [w * step[cur][m >= half] for cur in (0, 1) for m, w in enumerate(weights)]
+        low, high = weights[:half], weights[half:]
+        weights = (
+            [w * stay0 for w in low]
+            + [w * fall for w in high]
+            + [w * rise for w in low]
+            + [w * stay1 for w in high]
+        )
     return weights
 
 
@@ -139,9 +147,8 @@ def model1_channel(params: ChannelParams) -> NoiseChannel:
     if params.model != MODEL_I:
         raise ParameterError(f"params.model must be {MODEL_I} for model1_channel")
     n, p, mu = params.n, params.p, params.mu
-    strings = _flavored_strings(n, params.flavor)
-    terms = tuple(zip(_chain_weights(n, p, mu), strings))
-    return _checked(NoiseChannel(n, terms))
+    weights = _chain_weights(n, p, mu)
+    return _checked(n, weights, _flavored_strings(n, params.flavor))
 
 
 def model2_channel(params: ChannelParams) -> NoiseChannel:
@@ -156,11 +163,11 @@ def model2_channel(params: ChannelParams) -> NoiseChannel:
     strings = _flavored_strings(n, params.flavor)
     # memoryless weight of a string with k flips, scaled by (1 - mu)
     by_flips = [(1.0 - mu) * (p**k * (1.0 - p) ** (n - k)) for k in range(n + 1)]
-    terms = [(by_flips[k], op) for k, op in zip(_popcounts(n), strings)]
+    weights = [by_flips[k] for k in _popcounts(n)]
     survive = (1.0 - p) ** n
-    terms.append((mu * survive, strings[0]))
-    terms.append((mu * (1.0 - survive), strings[-1]))
-    return _checked(NoiseChannel(n, tuple(terms)))
+    weights.append(mu * survive)
+    weights.append(mu * (1.0 - survive))
+    return _checked(n, weights, strings + (strings[0], strings[-1]))
 
 
 def build_channel(params: ChannelParams) -> NoiseChannel:
@@ -175,8 +182,9 @@ def phase_flavor(channel: NoiseChannel) -> NoiseChannel:
     return NoiseChannel(channel.n, terms)
 
 
-def _checked(channel: NoiseChannel) -> NoiseChannel:
-    total = channel.total_weight()
+def _checked(n: int, weights: list[float], ops: tuple[PauliString, ...]) -> NoiseChannel:
+    """The channel of (weight, op) pairs, once its weights sum to 1 (in term order)."""
+    total = sum(weights)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise ParameterError(f"channel weights sum to {total}, expected 1")
-    return channel
+    return NoiseChannel(n, tuple(zip(weights, ops)))

@@ -47,6 +47,7 @@ from functools import lru_cache
 from itertools import groupby
 
 from .channels import (
+    FLAVOR_BIT,
     MODEL_I,
     MODEL_II,
     ChannelParams,
@@ -249,22 +250,16 @@ def evaluate(scheme: str, model: int, mu: float, p: float) -> FidelityResult:
     alias such as ``phase3`` gives the numbers of its base scheme.
     """
     base, _ = resolve_scheme(scheme)
-    n = scheme_qubits(base)
-    channel = build_channel(ChannelParams(p=p, mu=mu, n=n, flavor="bit", model=model))
+    # ChannelParams checks mu, p and model, so the published polynomial
+    # below needs no range check of its own
+    channel = build_channel(ChannelParams(p, mu, scheme_qubits(base), FLAVOR_BIT, model))
     if base == "unencoded":
         f = entanglement_fidelity_unencoded(channel)
     else:
-        _, rs = scheme_recovery(base, "bit")
+        _, rs = scheme_recovery(base, FLAVOR_BIT)
         f = entanglement_fidelity_corrected(channel, rs)
-    return FidelityResult(
-        mu=mu,
-        p=p,
-        scheme=scheme,
-        model=model,
-        f_numeric=f,
-        f_closed_form=closed_form(base, model, mu, p),
-        failure_prob=1.0 - f,
-    )
+    poly = _CLOSED_FORMS.get((base, model))
+    return FidelityResult(mu, p, scheme, model, f, None if poly is None else poly(mu, p), 1.0 - f)
 
 
 def threshold_mu(scheme: str, model: int, p: float) -> ThresholdPoint:

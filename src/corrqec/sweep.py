@@ -16,7 +16,8 @@ from .fidelity import FidelityResult, ThresholdPoint, evaluate, threshold_mu
 CSV_HEADER = "model,scheme,mu,p,fidelity_numeric,fidelity_closed_form,abs_diff,failure_prob"
 THRESHOLD_CSV_HEADER = "model,scheme,p,mu_star,branch,regions"
 OUTPUT_FORMATS = ("csv", "json")
-# a range grid is built in memory; more points than this is refused, not allocated
+# grids and tables are built in memory; a range with more points, or a table
+# with more rows, than this is refused before it is built
 MAX_RANGE_STEPS = 1_000_000
 
 
@@ -66,12 +67,18 @@ def parse_range(text: str) -> tuple[float, ...]:
     return tuple(grid)
 
 
+def _check_rows(rows: int) -> None:
+    if rows > MAX_RANGE_STEPS:
+        raise ParameterError(f"the table would have {rows} rows; at most {MAX_RANGE_STEPS}")
+
+
 def run_sweep(
     model: int,
     schemes: tuple[str, ...],
     p_values: tuple[float, ...],
     mu_values: tuple[float, ...],
 ) -> list[FidelityResult]:
+    _check_rows(len(schemes) * len(p_values) * len(mu_values))
     return [
         evaluate(scheme, model, mu, p)
         for scheme in schemes
@@ -101,23 +108,34 @@ def render_fidelity_csv(results: list[FidelityResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_number(x: float | None) -> str:
+    return "null" if x is None else repr(float(fmt_float(x)))
+
+
 def render_fidelity_json(results: list[FidelityResult]) -> str:
+    """``json.dumps(rows, indent=2)`` of one dict per row, byte for byte.
+
+    Each row is written from a fixed template: floats as the repr of their
+    12-digit value (json's float form for finite values), None as null.
+    """
+    if not results:
+        return "[]\n"
     rows = []
     for r in results:
         diff = None if r.f_closed_form is None else abs(r.f_numeric - r.f_closed_form)
         rows.append(
-            {
-                "model": r.model,
-                "scheme": r.scheme,
-                "mu": _json_float(r.mu),
-                "p": _json_float(r.p),
-                "fidelity_numeric": _json_float(r.f_numeric),
-                "fidelity_closed_form": _json_float(r.f_closed_form),
-                "abs_diff": _json_float(diff),
-                "failure_prob": _json_float(r.failure_prob),
-            }
+            "  {\n"
+            f'    "model": {r.model},\n'
+            f'    "scheme": {json.dumps(r.scheme)},\n'
+            f'    "mu": {_json_number(r.mu)},\n'
+            f'    "p": {_json_number(r.p)},\n'
+            f'    "fidelity_numeric": {_json_number(r.f_numeric)},\n'
+            f'    "fidelity_closed_form": {_json_number(r.f_closed_form)},\n'
+            f'    "abs_diff": {_json_number(diff)},\n'
+            f'    "failure_prob": {_json_number(r.failure_prob)}\n'
+            "  }"
         )
-    return json.dumps(rows, indent=2) + "\n"
+    return "[\n" + ",\n".join(rows) + "\n]\n"
 
 
 def _check_format(output_format: str) -> None:
@@ -144,6 +162,7 @@ class ThresholdRow:
 def run_threshold(
     model: int, schemes: tuple[str, ...], p_values: tuple[float, ...]
 ) -> list[ThresholdRow]:
+    _check_rows(len(schemes) * len(p_values))
     return [
         ThresholdRow(model, scheme, threshold_mu(scheme, model, p))
         for scheme in schemes

@@ -15,8 +15,13 @@ refined by float bisection; the exact solver must agree with it to the
 scan's accuracy.
 ``dense_complement_basis`` is the former complement completion: a dense
 numpy Gram-Schmidt over basis kets; the sparse one must reproduce it.
+``indexed_chain_weights`` is the former model I weight builder, one step
+factor looked up per element; the four-comprehension one must equal it.
+``dict_fidelity_json`` is the former JSON renderer, one dict per row through
+``json.dumps(indent=2)``; the template renderer must reproduce its bytes.
 """
 
+import json
 import math
 
 import numpy as np
@@ -24,6 +29,7 @@ import numpy as np
 from corrqec.errors import ContractViolationError
 from corrqec.fidelity import COMPLEMENT_TRACE_TOL, ThresholdPoint, closed_form, evaluate
 from corrqec.pauli import SparseState, apply_to_state
+from corrqec.sweep import fmt_float
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -111,6 +117,41 @@ def model2_weights(n, p, mu):
         weights.append((1.0 - mu) * iid)
     survive = (1.0 - p) ** n
     return weights + [mu * survive, mu * (1.0 - survive)]
+
+
+def indexed_chain_weights(n, p, mu):
+    """Model I weights by mask, built prefix by prefix with step[cur][prev] per element."""
+    q, keep = 1.0 - p, 1.0 - mu
+    step = ((keep * q + mu, keep * q), (keep * p, keep * p + mu))
+    weights = [q, p]
+    for _ in range(1, n):
+        half = len(weights) // 2
+        weights = [w * step[cur][m >= half] for cur in (0, 1) for m, w in enumerate(weights)]
+    return weights
+
+
+def dict_fidelity_json(results):
+    """Fidelity rows as dicts of 12-digit floats, through the indenting json encoder."""
+
+    def number(x):
+        return None if x is None else float(fmt_float(x))
+
+    rows = []
+    for r in results:
+        diff = None if r.f_closed_form is None else abs(r.f_numeric - r.f_closed_form)
+        rows.append(
+            {
+                "model": r.model,
+                "scheme": r.scheme,
+                "mu": number(r.mu),
+                "p": number(r.p),
+                "fidelity_numeric": number(r.f_numeric),
+                "fidelity_closed_form": number(r.f_closed_form),
+                "abs_diff": number(diff),
+                "failure_prob": number(r.failure_prob),
+            }
+        )
+    return json.dumps(rows, indent=2) + "\n"
 
 
 def per_row_dense_fidelity(channel, rs):

@@ -67,6 +67,29 @@ def test_traced_request_gives_the_expected_calls(bench):
     assert len(out.getvalue().splitlines()) == 1 + 8
 
 
+def test_traced_json_request_counts_its_rendered_rows(bench):
+    run, tracer = bench
+    argv = (
+        "fidelity", "--model", "2", "--scheme", "dfs2,unencoded,phase3",
+        "--p-range", "0:1:3", "--mu-range", "0:1:2", "--format", "json",
+    )
+    expected = run.expected_calls(argv)
+    assert expected == {
+        "fidelity.evaluate": 18,
+        "channels.build_channel": 18,
+        "fidelity.kernel": 12,
+        "fidelity.unencoded": 6,
+    }
+    spans = tracer.Tracer()
+    out = io.StringIO()
+    with tracer.traced(spans), contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    assert {name: spans.calls[name] for name in expected} == expected
+    assert spans.calls["sweep.render.json"] == 1
+    assert spans.counts["sweep.render.json.rows"] == 18
+    assert len(json.loads(out.getvalue())) == 18
+
+
 def test_probe_reads_the_recovery_set():
     src = Path(corrqec.__file__).resolve().parents[1]
     proc = subprocess.run(

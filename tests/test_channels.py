@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
 
+from corrqec import channels
 from corrqec.channels import (
     MODEL_I,
     MODEL_II,
     ChannelParams,
+    build_channel,
     model1_channel,
     model2_channel,
     phase_flavor,
 )
 from corrqec.errors import CapacityError, ParameterError
 
-from _oracles import choi_matrix, dense_pauli, model1_weights, model2_weights
+from _oracles import (
+    choi_matrix,
+    dense_pauli,
+    indexed_chain_weights,
+    model1_weights,
+    model2_weights,
+)
 
 
 def params(p, mu, n, model=MODEL_I, flavor="bit"):
@@ -228,3 +236,34 @@ def test_weights_are_bit_identical_to_per_mask_loops():
                     got = [w for w, _ in build(params(p, mu, n, model)).terms]
                     want = reference(n, p, mu)
                     assert [w.hex() for w in got] == [w.hex() for w in want], (model, n, p, mu)
+
+
+def test_chain_weights_equal_the_indexed_step_lookup():
+    grid = (0.0, 1e-300, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.9, 1.0 - 2**-53, 1.0)
+    for n in range(1, 7):
+        for p in grid:
+            for mu in grid:
+                got = channels._chain_weights(n, p, mu)
+                want = indexed_chain_weights(n, p, mu)
+                # hex also tells -0.0 from 0.0
+                assert [w.hex() for w in got] == [w.hex() for w in want], (n, p, mu)
+
+
+@pytest.mark.parametrize("model", [MODEL_I, MODEL_II])
+def test_weight_sum_check_can_fail(monkeypatch, model):
+    checked = channels._checked
+
+    def perturbed(shift):
+        def check(n, weights, ops):
+            weights[0] += shift
+            return checked(n, weights, ops)
+
+        return check
+
+    # within WEIGHT_SUM_TOL the channel is built from the weights it was checked on
+    monkeypatch.setattr(channels, "_checked", perturbed(1e-13))
+    channel = build_channel(params(0.1, 0.3, 3, model))
+    assert abs(channel.total_weight() - 1.0 - 1e-13) < 1e-15
+    monkeypatch.setattr(channels, "_checked", perturbed(1e-9))
+    with pytest.raises(ParameterError, match="sum to"):
+        build_channel(params(0.1, 0.3, 3, model))

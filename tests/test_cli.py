@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from corrqec import checks, cli
+from corrqec import checks, cli, sweep
 from corrqec.channels import ChannelParams, model1_channel
 from corrqec.checks import closed_form_agreement, flavor_symmetry
 from corrqec.codes import concatenate, dfs2, phaseflip3
@@ -20,6 +20,8 @@ from corrqec.sweep import (
     parse_range,
     render_fidelity,
     render_threshold,
+    run_sweep,
+    run_threshold,
 )
 
 
@@ -394,6 +396,40 @@ def test_huge_step_count_is_refused(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "99999999999" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("fidelity", "--model", "1", "--scheme", "bit3",
+     "--p-range", "0:1:1000000", "--mu-range", "0:1:1000000"),
+    ("fidelity", "--model", "2", "--scheme", "bit3,dfs2",
+     "--p-range", "0:1:1000", "--mu-range", "0:1:501"),
+    ("threshold", "--model", "1", "--scheme", "bit3,dfs2",
+     "--p-range", "0.01:0.49:500001"),
+], ids=["fidelity-1e12", "fidelity-schemes", "threshold"])
+def test_huge_table_is_refused(capsys, monkeypatch, argv):
+    # each axis is within MAX_RANGE_STEPS, the table is not: exit 2 before any point
+    def unreachable(*args):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(sweep, "evaluate", unreachable)
+    monkeypatch.setattr(sweep, "threshold_mu", unreachable)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(MAX_RANGE_STEPS) in err
+
+
+def test_table_bound_counts_rows_exactly(monkeypatch):
+    monkeypatch.setattr(sweep, "evaluate", lambda *args: None)
+    monkeypatch.setattr(sweep, "threshold_mu", lambda *args: None)
+    axis = parse_range("0:1:1000")
+    assert len(run_sweep(1, ("bit3",), axis, axis)) == MAX_RANGE_STEPS
+    with pytest.raises(ParameterError):
+        run_sweep(1, ("bit3",), axis, axis + (1.0,))
+    p_values = parse_range(f"0:1:{MAX_RANGE_STEPS // 2}")
+    assert len(run_threshold(1, ("bit3", "dfs2"), p_values)) == MAX_RANGE_STEPS
+    with pytest.raises(ParameterError):
+        run_threshold(1, ("bit3", "dfs2", "dfs2"), p_values)
 
 
 def test_flavor_symmetry_suite_fails_on_a_wrong_phase_code(capsys, monkeypatch):

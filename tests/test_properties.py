@@ -11,12 +11,15 @@ from hypothesis import strategies as st
 from corrqec.channels import MODEL_I, MODEL_II, WEIGHT_SUM_TOL, ChannelParams, build_channel
 from corrqec.checks import CLOSED_FORM_TOL, FLAVOR_TOL
 from corrqec.fidelity import (
+    FidelityResult,
     entanglement_fidelity_corrected,
     entanglement_fidelity_unencoded,
     evaluate,
 )
 from corrqec.schemes import BASE_SCHEMES, scheme_qubits, scheme_recovery
-from corrqec.sweep import parse_range
+from corrqec.sweep import parse_range, render_fidelity_json
+
+from _oracles import dict_fidelity_json
 
 deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -78,3 +81,36 @@ def test_range_grid_equals_numpy_linspace(ends, steps):
     assert [x.hex() for x in grid] == [float(x).hex() for x in want]
     assert all(type(x) is float for x in grid)
     assert grid[0] == lo and grid[-1] == hi
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+rows = st.builds(
+    FidelityResult,
+    mu=unit,
+    p=unit,
+    scheme=st.sampled_from(BASE_SCHEMES + ("phase3", "dfs2-phase", "concat6-phase")),
+    model=models,
+    f_numeric=finite,
+    f_closed_form=st.none() | finite,
+    failure_prob=finite,
+)
+
+
+def _row(scheme, f, closed, failure=None, mu=0.5, p=0.1, model=MODEL_I):
+    return FidelityResult(mu, p, scheme, model, f, closed, 1.0 - f if failure is None else failure)
+
+
+@deterministic
+@given(results=st.lists(rows, max_size=8))
+@example(results=[])
+@example(results=[_row("unencoded", 0.9, None), _row("unencoded", 1.0, None, mu=1.0, p=0.0)])
+@example(results=[_row("bit3", 1.0 + 1.1e-16, 1.0, failure=-1.1e-16)])
+@example(results=[
+    _row("dfs2", 0.0, 0.0, mu=0.0, p=1.0, model=MODEL_II),
+    _row("dfs2", 1.0, 1.0, mu=1.0, p=0.0),
+    _row("bit3", 5e-324, 1e-05, mu=5e-324, p=1e-05),
+])
+@example(results=[_row("concat6", 0.99999999999999, 0.9999999999999, mu=0.1 + 0.2)])
+@example(results=[_row(name, 0.97, 0.97) for name in ("phase3", "dfs2-phase", "concat6-phase")])
+def test_fidelity_json_equals_the_indenting_encoder(results):
+    assert render_fidelity_json(results) == dict_fidelity_json(results)
