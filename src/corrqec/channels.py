@@ -117,12 +117,8 @@ def _chain_weights(n: int, p: float, mu: float) -> list[float]:
         # the previous qubit (the current high bit) is 0 in the low half of the masks
         half = len(weights) // 2
         low, high = weights[:half], weights[half:]
-        weights = (
-            [w * stay0 for w in low]
-            + [w * fall for w in high]
-            + [w * rise for w in low]
-            + [w * stay1 for w in high]
-        )
+        weights = [w * stay0 for w in low] + [w * fall for w in high]
+        weights += [w * rise for w in low] + [w * stay1 for w in high]
     return weights
 
 

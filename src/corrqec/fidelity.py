@@ -47,7 +47,6 @@ from functools import lru_cache
 from itertools import groupby
 
 from .channels import (
-    FLAVOR_BIT,
     MODEL_I,
     MODEL_II,
     ChannelParams,
@@ -252,11 +251,11 @@ def evaluate(scheme: str, model: int, mu: float, p: float) -> FidelityResult:
     base, _ = resolve_scheme(scheme)
     # ChannelParams checks mu, p and model, so the published polynomial
     # below needs no range check of its own
-    channel = build_channel(ChannelParams(p, mu, scheme_qubits(base), FLAVOR_BIT, model))
+    channel = build_channel(ChannelParams(p, mu, scheme_qubits(base), "bit", model))
     if base == "unencoded":
         f = entanglement_fidelity_unencoded(channel)
     else:
-        _, rs = scheme_recovery(base, FLAVOR_BIT)
+        _, rs = scheme_recovery(base, "bit")
         f = entanglement_fidelity_corrected(channel, rs)
     poly = _CLOSED_FORMS.get((base, model))
     return FidelityResult(mu, p, scheme, model, f, None if poly is None else poly(mu, p), 1.0 - f)

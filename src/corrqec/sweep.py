@@ -113,18 +113,13 @@ def _json_number(x: float | None) -> str:
 
 
 def render_fidelity_json(results: list[FidelityResult]) -> str:
-    """``json.dumps(rows, indent=2)`` of one dict per row, byte for byte.
-
-    Each row is written from a fixed template: floats as the repr of their
-    12-digit value (json's float form for finite values), None as null.
-    """
-    if not results:
-        return "[]\n"
+    """``json.dumps(rows, indent=2)`` of one dict per row, byte for byte, from a
+    fixed template: a float is the repr of its 12-digit value, None is null."""
     rows = []
     for r in results:
         diff = None if r.f_closed_form is None else abs(r.f_numeric - r.f_closed_form)
         rows.append(
-            "  {\n"
+            "\n  {\n"
             f'    "model": {r.model},\n'
             f'    "scheme": {json.dumps(r.scheme)},\n'
             f'    "mu": {_json_number(r.mu)},\n'
@@ -135,7 +130,7 @@ def render_fidelity_json(results: list[FidelityResult]) -> str:
             f'    "failure_prob": {_json_number(r.failure_prob)}\n'
             "  }"
         )
-    return "[\n" + ",\n".join(rows) + "\n]\n"
+    return "[" + ",".join(rows) + ("\n]\n" if rows else "]\n")
 
 
 def _check_format(output_format: str) -> None:
