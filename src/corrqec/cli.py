@@ -21,7 +21,9 @@ from .recovery import (
 from .schemes import resolve_scheme, scheme_recovery
 from .sweep import (
     OUTPUT_FORMATS,
+    check_rows,
     parse_range,
+    range_spec,
     render_fidelity,
     render_threshold,
     run_sweep,
@@ -99,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _values(single: float | None, range_text: str | None, name: str) -> tuple[float, ...]:
+def _steps(single: float | None, range_text: str | None, name: str) -> int:
+    """Points on the --name axis; checks the input but builds no grid."""
     if single is None and range_text is None:
         raise ParameterError(f"either --{name} or --{name}-range is required")
     if single is not None and range_text is not None:
@@ -107,8 +110,13 @@ def _values(single: float | None, range_text: str | None, name: str) -> tuple[fl
     if single is not None:
         if not 0.0 <= single <= 1.0:
             raise ParameterError(f"{name} must lie in [0, 1], got {single}")
-        return (single,)
-    return parse_range(range_text)
+        return 1
+    return range_spec(range_text)[2]
+
+
+def _values(single: float | None, range_text: str | None) -> tuple[float, ...]:
+    """The axis that ``_steps`` checked, as a grid."""
+    return (single,) if single is not None else parse_range(range_text)
 
 
 def _schemes(args: argparse.Namespace) -> tuple[str, ...]:
@@ -134,15 +142,20 @@ def _emit(text: str, path: str | None) -> None:
 
 def _cmd_fidelity(args: argparse.Namespace) -> int:
     schemes = _schemes(args)
-    p_values = _values(args.p, args.p_range, "p")
-    mu_values = _values(args.mu, args.mu_range, "mu")
+    # the table is refused from its step counts, before any grid is built
+    p_steps = _steps(args.p, args.p_range, "p")
+    check_rows(len(schemes) * p_steps * _steps(args.mu, args.mu_range, "mu"))
+    p_values = _values(args.p, args.p_range)
+    mu_values = _values(args.mu, args.mu_range)
     rows = run_sweep(args.model, schemes, p_values, mu_values)
     _emit(render_fidelity(rows, args.format), args.output)
     return 0
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
-    rows = run_threshold(args.model, _schemes(args), _values(args.p, args.p_range, "p"))
+    schemes = _schemes(args)
+    check_rows(len(schemes) * _steps(args.p, args.p_range, "p"))
+    rows = run_threshold(args.model, schemes, _values(args.p, args.p_range))
     _emit(render_threshold(rows, args.format), args.output)
     return 0
 

@@ -148,8 +148,9 @@ def entanglement_fidelity_unencoded(channel: NoiseChannel) -> float:
 def dense_oracle_fidelity(channel: NoiseChannel, rs: RecoverySet) -> float:
     """Same fidelity sum via dense matrices and an explicit code projector.
 
-    The rows P R_l are stacked once per call, from recovery matrices
-    streamed one at a time; each Kraus term then costs one dense Pauli and
+    The rows P R_l are stacked on the first call for a recovery set, from
+    recovery matrices streamed one at a time, and kept on the set
+    (``rs.projected_rows``); each Kraus term then costs one dense Pauli and
     one matrix-vector product.
     """
     code = rs.code
@@ -158,15 +159,20 @@ def dense_oracle_fidelity(channel: NoiseChannel, rs: RecoverySet) -> float:
     if channel.n != code.n:
         raise DimensionError(f"channel acts on {channel.n} qubits, code has {code.n}")
     import numpy as np
-    d0 = code.logical_zero.dense()
-    d1 = code.logical_one.dense()
-    proj = np.outer(d0, d0.conj()) + np.outer(d1, d1.conj())
-    # tr[P R A P] = tr[(P R) A] = sum_ij (P R)_ij A_ji: with row l holding
-    # (P R_l)^T flattened, one mat-vec with A flattened gives every trace
-    dim = 1 << code.n
-    projected = np.empty((len(rs.ops) + bool(rs.complement), dim * dim), dtype=complex)
-    for row, rmat in zip(projected, recovery_dense(rs)):
-        row[:] = (proj @ rmat).T.ravel()
+    projected = rs.projected_rows
+    if projected is None:
+        d0 = code.logical_zero.dense()
+        d1 = code.logical_one.dense()
+        proj = np.outer(d0, d0.conj()) + np.outer(d1, d1.conj())
+        # tr[P R A P] = tr[(P R) A] = sum_ij (P R)_ij A_ji: with row l holding
+        # (P R_l)^T flattened, one mat-vec with A flattened gives every trace
+        dim = 1 << code.n
+        projected = np.empty((len(rs.ops) + bool(rs.complement), dim * dim), dtype=complex)
+        for row, rmat in zip(projected, recovery_dense(rs)):
+            row[:] = (proj @ rmat).T.ravel()
+        projected.flags.writeable = False
+        # RecoverySet is frozen; the rows are a cache, like restricted_traces
+        object.__setattr__(rs, "projected_rows", projected)
     total = 0.0
     for w, op in channel.terms:
         t = projected @ op.dense().ravel()

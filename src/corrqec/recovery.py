@@ -63,6 +63,9 @@ class RecoverySet:
     ``(x_mask, z_mask, phase)``, the nonzero squared restricted traces
     ``|tr[R_l A]_C|^2`` (isometries first, then the complement projector);
     it is filled by the fidelity kernel and valid for ``code`` only.
+    ``projected_rows`` holds the dense oracle's read-only rows
+    ``(P R_l)^T`` flattened, one per recovery matrix, with ``P`` the code
+    projector; the oracle sets it on its first call for this set.
     """
 
     code: QuantumCode
@@ -70,6 +73,9 @@ class RecoverySet:
     complement: tuple[SparseState, ...]
     restricted_traces: dict[tuple[int, int, int], tuple[float, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
+    )
+    projected_rows: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
 

@@ -33,8 +33,8 @@ def _json_float(x: float | None) -> float | None:
     return None if x is None else float(fmt_float(x))
 
 
-def parse_range(text: str) -> tuple[float, ...]:
-    """Parse 'min:max:steps' into an inclusive uniform grid."""
+def range_spec(text: str) -> tuple[float, float, int]:
+    """Parse and check 'min:max:steps'; builds no grid."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ParameterError(f"range must look like min:max:steps, got {text!r}")
@@ -53,6 +53,12 @@ def parse_range(text: str) -> tuple[float, ...]:
     if steps == 1 and lo < hi:
         # one point cannot include both endpoints
         raise ParameterError(f"a single step needs min == max, got {text!r}")
+    return lo, hi, steps
+
+
+def parse_range(text: str) -> tuple[float, ...]:
+    """Parse 'min:max:steps' into an inclusive uniform grid."""
+    lo, hi, steps = range_spec(text)
     # numpy.linspace's arithmetic, so that the grid equals it bit for bit
     div = steps - 1
     delta = hi - lo
@@ -67,7 +73,8 @@ def parse_range(text: str) -> tuple[float, ...]:
     return tuple(grid)
 
 
-def _check_rows(rows: int) -> None:
+def check_rows(rows: int) -> None:
+    """Refuse a table of more than MAX_RANGE_STEPS rows."""
     if rows > MAX_RANGE_STEPS:
         raise ParameterError(f"the table would have {rows} rows; at most {MAX_RANGE_STEPS}")
 
@@ -78,7 +85,7 @@ def run_sweep(
     p_values: tuple[float, ...],
     mu_values: tuple[float, ...],
 ) -> list[FidelityResult]:
-    _check_rows(len(schemes) * len(p_values) * len(mu_values))
+    check_rows(len(schemes) * len(p_values) * len(mu_values))
     return [
         evaluate(scheme, model, mu, p)
         for scheme in schemes
@@ -157,7 +164,7 @@ class ThresholdRow:
 def run_threshold(
     model: int, schemes: tuple[str, ...], p_values: tuple[float, ...]
 ) -> list[ThresholdRow]:
-    _check_rows(len(schemes) * len(p_values))
+    check_rows(len(schemes) * len(p_values))
     return [
         ThresholdRow(model, scheme, threshold_mu(scheme, model, p))
         for scheme in schemes

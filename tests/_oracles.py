@@ -9,6 +9,9 @@ point; the memoized kernel must reproduce it bit for bit.
 mask by mask; the channel builders must reproduce them bit for bit.
 ``per_row_dense_fidelity`` takes one dense dot product per (term, recovery
 operator) pair; the library's dense oracle must agree with it to rounding.
+``per_call_dense_oracle_fidelity`` is the former dense oracle, which stacked
+the rows P R_l again at every call; the one that keeps them on the recovery
+set must equal it.
 ``scan_threshold_mu`` is the former threshold solver: a 1024-point scan of
 the failure probability (closed form, else the numeric pipeline) minus p,
 refined by float bisection; the exact solver must agree with it to the
@@ -29,6 +32,7 @@ import numpy as np
 from corrqec.errors import ContractViolationError
 from corrqec.fidelity import COMPLEMENT_TRACE_TOL, ThresholdPoint, closed_form, evaluate
 from corrqec.pauli import SparseState, apply_to_state
+from corrqec.recovery import recovery_dense
 from corrqec.sweep import fmt_float
 
 I2 = np.eye(2, dtype=complex)
@@ -173,6 +177,23 @@ def per_row_dense_fidelity(channel, rs):
         for row in rows:
             t = row @ a_transposed
             total += t.real**2 + t.imag**2
+    return float(total / 4.0)
+
+
+def per_call_dense_oracle_fidelity(channel, rs):
+    """The dense oracle with its rows (P R_l)^T stacked anew at every call."""
+    code = rs.code
+    d0 = code.logical_zero.dense()
+    d1 = code.logical_one.dense()
+    proj = np.outer(d0, d0.conj()) + np.outer(d1, d1.conj())
+    dim = 1 << code.n
+    projected = np.empty((len(rs.ops) + bool(rs.complement), dim * dim), dtype=complex)
+    for row, rmat in zip(projected, recovery_dense(rs)):
+        row[:] = (proj @ rmat).T.ravel()
+    total = 0.0
+    for w, op in channel.terms:
+        t = projected @ op.dense().ravel()
+        total += w * np.vdot(t, t).real
     return float(total / 4.0)
 
 

@@ -90,6 +90,29 @@ def test_traced_json_request_counts_its_rendered_rows(bench):
     assert len(json.loads(out.getvalue())) == 18
 
 
+def test_traced_verify_request_gives_the_expected_calls(bench):
+    # the dense oracle keeps its rows on the recovery set, but still runs at
+    # every sparse-dense point
+    run, tracer = bench
+    argv = ("verify",)
+    expected = run.expected_calls(argv)
+    suites = ("closed-form", "kraus-normalization", "trace-preservation", "sparse-dense",
+              "correctable", "flavor-symmetry", "model-mu0", "endpoints", "thresholds")
+    assert expected == {
+        **{f"checks.{suite}": 1 for suite in suites},
+        "checks.closed-form.inner": 2646,
+        "fidelity.dense_oracle": 90,
+    }
+    spans = tracer.Tracer()
+    out = io.StringIO()
+    with tracer.traced(spans), contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    # the closed-form suite's inner evaluations are a count, not a call
+    done = spans.calls + spans.counts
+    assert {name: done[name] for name in expected} == expected
+    assert out.getvalue().endswith("all 9 suite(s) passed\n")
+
+
 def test_probe_reads_the_recovery_set():
     src = Path(corrqec.__file__).resolve().parents[1]
     proc = subprocess.run(

@@ -242,6 +242,16 @@ def test_inject_error_needs_the_closed_form_suite(capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def test_sparse_dense_suite_fails_when_the_kernel_is_off(capsys, monkeypatch):
+    real = checks.entanglement_fidelity_corrected
+    monkeypatch.setattr(
+        checks, "entanglement_fidelity_corrected", lambda ch, rs: real(ch, rs) + 1e-9
+    )
+    code, out, _ = run_cli(capsys, "verify", "--suite", "sparse-dense")
+    assert code == 1
+    assert "[FAIL] sparse-dense" in out
+
+
 def test_verify_single_suite_census(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "correctable")
     assert code == 0
@@ -409,10 +419,12 @@ def test_huge_step_count_is_refused(capsys):
 def test_huge_table_is_refused(capsys, monkeypatch, argv):
     # each axis is within MAX_RANGE_STEPS, the table is not: exit 2 before any point
     def unreachable(*args):
-        raise AssertionError("a point ran")
+        raise AssertionError("ran past the row bound")
 
     monkeypatch.setattr(sweep, "evaluate", unreachable)
     monkeypatch.setattr(sweep, "threshold_mu", unreachable)
+    # refused from the step counts alone: no axis grid is built either
+    monkeypatch.setattr(cli, "parse_range", unreachable)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1

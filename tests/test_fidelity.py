@@ -3,7 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import per_point_fidelity, per_row_dense_fidelity, scan_threshold_mu
+from _oracles import (
+    per_call_dense_oracle_fidelity,
+    per_point_fidelity,
+    per_row_dense_fidelity,
+    scan_threshold_mu,
+)
 from corrqec import fidelity
 
 from corrqec.channels import (
@@ -27,7 +32,7 @@ from corrqec.fidelity import (
     evaluate,
     threshold_mu,
 )
-from corrqec.recovery import RecoverySet
+from corrqec.recovery import RecoverySet, build_recovery
 from corrqec.schemes import scheme_correctable, scheme_recovery
 
 
@@ -146,6 +151,43 @@ def test_dense_oracle_matches_per_row_loop_on_concat6():
             ch = channel(model, 6, p, mu)
             got = dense_oracle_fidelity(ch, rs)
             assert abs(got - per_row_dense_fidelity(ch, rs)) <= 1e-14, (model, p, mu)
+
+
+def test_cached_dense_oracle_equals_the_per_call_build():
+    grid = (0.0, 0.1, 0.37, 1.0)
+    for scheme in ("bit3", "dfs2", "concat6"):
+        code, rs = scheme_recovery(scheme, "bit")
+        for model in (MODEL_I, MODEL_II):
+            # a fresh set per model, so that the first call builds the rows
+            fresh = RecoverySet(code, rs.ops, rs.complement)
+            for p in grid:
+                for mu in grid:
+                    ch = channel(model, code.n, p, mu)
+                    got = dense_oracle_fidelity(ch, fresh)
+                    assert got == per_call_dense_oracle_fidelity(ch, rs), (scheme, model, p, mu)
+            assert not fresh.projected_rows.flags.writeable
+
+
+def test_dense_oracle_builds_rows_once_per_recovery_set(monkeypatch):
+    builds = []
+    original = fidelity.recovery_dense
+
+    def counting(rs_arg):
+        builds.append(rs_arg)
+        return original(rs_arg)
+
+    monkeypatch.setattr(fidelity, "recovery_dense", counting)
+    code, correctable = scheme_correctable("concat6", "bit")
+    first = build_recovery(code, list(correctable))
+    for p, mu in ((0.1, 0.0), (0.3, 0.7), (0.9, 1.0)):
+        for model in (MODEL_I, MODEL_II):
+            dense_oracle_fidelity(channel(model, 6, p, mu), first)
+    assert builds == [first]
+    second = build_recovery(code, list(correctable))
+    assert second.projected_rows is None
+    dense_oracle_fidelity(channel(MODEL_I, 6, 0.2, 0.4), second)
+    assert len(builds) == 2 and builds[1] is second
+    assert second.projected_rows is not first.projected_rows
 
 
 def test_complement_terms_have_zero_trace():
