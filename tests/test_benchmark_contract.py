@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import corrqec
-from corrqec import cli
+from corrqec import checks, cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -96,10 +96,8 @@ def test_traced_verify_request_gives_the_expected_calls(bench):
     run, tracer = bench
     argv = ("verify",)
     expected = run.expected_calls(argv)
-    suites = ("closed-form", "kraus-normalization", "trace-preservation", "sparse-dense",
-              "correctable", "flavor-symmetry", "model-mu0", "endpoints", "thresholds")
     assert expected == {
-        **{f"checks.{suite}": 1 for suite in suites},
+        **{f"checks.{suite}": 1 for suite in checks.SUITES},
         "checks.closed-form.inner": 2646,
         "fidelity.dense_oracle": 90,
     }
