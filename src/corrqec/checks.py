@@ -34,6 +34,7 @@ from .recovery import (
     trace_preservation_deviation,
 )
 from .schemes import scheme_qubits, scheme_recovery
+from .sweep import linspace
 
 CLOSED_FORM_TOL = 1e-10
 NORMALIZATION_TOL = 1e-12
@@ -83,8 +84,7 @@ def closed_form_agreement(grid_steps: int, inject: str | None = None) -> SuiteRe
         raise ParameterError(
             f"cannot inject an error into {inject!r}; known: {', '.join(CLOSED_FORM_KEYS)}"
         )
-    import numpy as np
-    grid = np.linspace(0.0, 1.0, grid_steps)
+    grid = linspace(0.0, 1.0, grid_steps)
     worst = 0.0
     worst_case = ""
     for base in _ENCODED:
@@ -92,8 +92,8 @@ def closed_form_agreement(grid_steps: int, inject: str | None = None) -> SuiteRe
             key = f"{base}-model{model}"
             for p in grid:
                 for mu in grid:
-                    f = evaluate(base, model, float(mu), float(p)).f_numeric
-                    cf = closed_form(base, model, float(mu), float(p))
+                    f = evaluate(base, model, mu, p).f_numeric
+                    cf = closed_form(base, model, mu, p)
                     if inject == key:
                         cf += 1e-6
                     dev = abs(f - cf)
@@ -203,8 +203,7 @@ def flavor_symmetry() -> SuiteResult:
     Each flavor runs through its own channel and its own recovery set, not
     through ``evaluate``, which maps the phase flavor onto the bit flavor.
     """
-    import numpy as np
-    grid = np.linspace(0.0, 1.0, FLAVOR_GRID_STEPS)
+    grid = linspace(0.0, 1.0, FLAVOR_GRID_STEPS)
 
     def fidelity(base: str, flavor: str, model: int, mu: float, p: float) -> float:
         params = ChannelParams(p=p, mu=mu, n=scheme_qubits(base), flavor=flavor, model=model)
@@ -218,8 +217,8 @@ def flavor_symmetry() -> SuiteResult:
         for base in _ENCODED + ("unencoded",):
             for p in grid:
                 for mu in grid:
-                    bit = fidelity(base, "bit", model, float(mu), float(p))
-                    phase = fidelity(base, "phase", model, float(mu), float(p))
+                    bit = fidelity(base, "bit", model, mu, p)
+                    phase = fidelity(base, "phase", model, mu, p)
                     worst = max(worst, abs(bit - phase))
     detail = f"grid {FLAVOR_GRID_STEPS}x{FLAVOR_GRID_STEPS}, 4 schemes, both models"
     return SuiteResult("flavor-symmetry", worst <= FLAVOR_TOL, worst, detail)
@@ -244,29 +243,23 @@ def model_mu0_agreement() -> SuiteResult:
 
 def endpoint_identities() -> SuiteResult:
     """Fidelity limits forced by the polynomials' structure."""
-    import numpy as np
     worst = 0.0
-    ps = np.linspace(0.0, 1.0, 11)
+    ps = linspace(0.0, 1.0, 11)
     for p in ps:
-        worst = max(
-            worst, abs(evaluate("bit3", MODEL_I, 1.0, float(p)).f_numeric - (1.0 - p))
-        )
+        worst = max(worst, abs(evaluate("bit3", MODEL_I, 1.0, p).f_numeric - (1.0 - p)))
         for model in _MODELS:
-            worst = max(worst, abs(evaluate("dfs2", model, 1.0, float(p)).f_numeric - 1.0))
-        worst = max(worst, abs(evaluate("concat6", MODEL_II, 1.0, float(p)).f_numeric - 1.0))
+            worst = max(worst, abs(evaluate("dfs2", model, 1.0, p).f_numeric - 1.0))
+        worst = max(worst, abs(evaluate("concat6", MODEL_II, 1.0, p).f_numeric - 1.0))
     for mu in ps:
         for model in _MODELS:
             for scheme in _ENCODED + ("unencoded",):
-                worst = max(
-                    worst, abs(evaluate(scheme, model, float(mu), 0.0).f_numeric - 1.0)
-                )
+                worst = max(worst, abs(evaluate(scheme, model, mu, 0.0).f_numeric - 1.0))
     detail = "mu=1 identities on 11 p-values; p=0 identity on 11 mu-values"
     return SuiteResult("endpoints", worst <= ENDPOINT_TOL, worst, detail)
 
 
 def threshold_reproduction() -> SuiteResult:
     """Model II effectiveness boundaries at p = 0.1."""
-    import numpy as np
     problems = []
     worst = 0.0
 
@@ -288,8 +281,8 @@ def threshold_reproduction() -> SuiteResult:
     conc = threshold_mu("concat6", MODEL_II, 0.1)
     if conc.branch != "all" or conc.regions != ((0.0, 1.0),):
         problems.append(f"concat6 branch {conc.branch}, regions {conc.regions}")
-    for mu in np.linspace(0.0, 1.0, 11):
-        got = evaluate("concat6", MODEL_II, float(mu), 0.1).failure_prob
+    for mu in linspace(0.0, 1.0, 11):
+        got = evaluate("concat6", MODEL_II, mu, 0.1).failure_prob
         dev = abs(got - 0.054432 * (1.0 - mu))
         worst = max(worst, dev)
         if dev > 1e-10:

@@ -8,14 +8,15 @@ fidelity of the maximally mixed logical state is
     tr [M]_C = <0L|M|0L> + <1L|M|1L>,
 
 with R_l = |0L><v_l^0| + |1L><v_l^1| the restricted trace reduces to
-<v_l^0|A_k|0L> + <v_l^1|A_k|1L>.  The complement projector contributes one
-more restricted trace, which must vanish because the code space is
-contained in the syndrome spaces; a nonzero value raises.
+<v_l^0|A_k|0L> + <v_l^1|A_k|1L>.  The complement projector's restricted
+trace vanishes for every A_k, because its vectors are orthogonal to the
+code space; ``RecoverySet`` checks that once, when it is built, so the
+kernel sums over the isometries only.
 
 For Pauli noise the restricted traces depend only on the Pauli A_k, never
 on (mu, p).  The recovery set therefore memoizes, per Pauli, the nonzero
-squares |tr[R_l A_k]_C|^2, computed with the sparse arithmetic above (and
-checked against the complement contract) the first time the Pauli occurs.
+squares |tr[R_l A_k]_C|^2, computed with the sparse arithmetic above the
+first time the Pauli occurs.
 A fidelity point is then one pass over the channel's terms adding w_k * s
 for each memoized square s, in the same order and with the same operands
 as recomputing every trace, so the result is bit-identical to it.
@@ -26,8 +27,8 @@ every sum of w * |tr|^2 unchanged up to rounding, so the merged view agrees.
 
 Closed-form fidelity polynomials in (mu, p) exist for the six
 (scheme in {bit3, dfs2, concat6}) x (model in {1, 2}) pairs and are
-evaluated exactly as published; ``closed_form`` returns None for any other
-pair (``unencoded``).  A scheme is *effective* at (mu, p) when
+evaluated exactly as published; ``closed_form`` returns None for
+``unencoded`` and refuses a model other than 1 or 2.  A scheme is *effective* at (mu, p) when
 its failure probability 1 - F stays strictly below the bare error
 probability p; threshold curves report where that holds.
 
@@ -53,18 +54,11 @@ from .channels import (
     NoiseChannel,
     build_channel,
 )
-from .errors import (
-    CapacityError,
-    ContractViolationError,
-    DimensionError,
-    ParameterError,
-)
+from .errors import CapacityError, DimensionError, ParameterError
 from .pauli import PauliString, apply_to_state
 from .recovery import RecoverySet, recovery_dense
 from .roots import sign_structure
 from .schemes import resolve_scheme, scheme_correctable, scheme_qubits, scheme_recovery
-
-COMPLEMENT_TRACE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -112,24 +106,15 @@ def entanglement_fidelity_corrected(channel: NoiseChannel, rs: RecoverySet) -> f
 
 
 def _squared_restricted_traces(rs: RecoverySet, op: PauliString) -> tuple[float, ...]:
-    """Nonzero |tr[R_l op]_C|^2, isometries in order, then the complement.
+    """Nonzero |tr[R_l op]_C|^2 of the isometries, in order.
 
-    Exact zeros are dropped: adding w * 0.0 leaves the kernel's sum unchanged.
+    The complement projector adds nothing: ``RecoverySet`` guarantees that
+    its restricted trace vanishes.  Exact zeros are dropped: adding w * 0.0
+    leaves the kernel's sum unchanged.
     """
-    zero, one = rs.code.logical_zero, rs.code.logical_one
-    y0 = apply_to_state(op, zero)
-    y1 = apply_to_state(op, one)
+    y0 = apply_to_state(op, rs.code.logical_zero)
+    y1 = apply_to_state(op, rs.code.logical_one)
     traces = [rop.v0.inner(y0) + rop.v1.inner(y1) for rop in rs.ops]
-    if rs.complement:
-        t = sum(
-            zero.inner(r) * r.inner(y0) + one.inner(r) * r.inner(y1)
-            for r in rs.complement
-        )
-        if abs(t) > COMPLEMENT_TRACE_TOL:
-            raise ContractViolationError(
-                "complement projector has a nonzero restricted trace"
-            )
-        traces.append(t)
     squares = (t.real * t.real + t.imag * t.imag for t in traces)
     return tuple(s for s in squares if s != 0.0)
 
@@ -232,9 +217,15 @@ _CLOSED_FORMS = {
 CLOSED_FORM_KEYS = tuple(f"{base}-model{model}" for base, model in _CLOSED_FORMS)
 
 
+def _check_model(model: int) -> None:
+    if model not in (MODEL_I, MODEL_II):
+        raise ParameterError(f"model must be {MODEL_I} or {MODEL_II}, got {model}")
+
+
 def closed_form(scheme: str, model: int, mu: float, p: float) -> float | None:
     """Published fidelity polynomial for (scheme, model) at (mu, p); None if unpublished."""
     base, _ = resolve_scheme(scheme)
+    _check_model(model)
     poly = _CLOSED_FORMS.get((base, model))
     if poly is None:
         return None
@@ -377,8 +368,7 @@ def _fidelity_polynomial(base: str, model: int) -> tuple[tuple[int, ...], ...]:
     the correctable set, which the recovery operators' members partition.
     The unencoded qubit keeps only the error-free term.
     """
-    if model not in (MODEL_I, MODEL_II):
-        raise ParameterError(f"model must be {MODEL_I} or {MODEL_II}, got {model}")
+    _check_model(model)
     if base == "unencoded":
         n, masks = 1, [0]
     else:

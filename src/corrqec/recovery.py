@@ -55,14 +55,19 @@ class RecoveryOp:
     members: tuple[PauliString, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoverySet:
     """Recovery operators for ``code``, plus the complement basis, if any.
 
+    Every complement vector must be orthogonal to both codewords (within
+    ``DETECT_TOL``), so that the complement projector has a zero restricted
+    trace for every operator; construction raises otherwise.  Sets compare
+    by identity: each one carries its own caches.
+
     ``restricted_traces`` memoizes, per channel Pauli keyed by
     ``(x_mask, z_mask, phase)``, the nonzero squared restricted traces
-    ``|tr[R_l A]_C|^2`` (isometries first, then the complement projector);
-    it is filled by the fidelity kernel and valid for ``code`` only.
+    ``|tr[R_l A]_C|^2`` of the isometries, in order; it is filled by the
+    fidelity kernel and valid for ``code`` only.
     ``projected_rows`` holds the dense oracle's read-only rows
     ``(P R_l)^T`` flattened, one per recovery matrix, with ``P`` the code
     projector; the oracle sets it on its first call for this set.
@@ -72,11 +77,14 @@ class RecoverySet:
     ops: tuple[RecoveryOp, ...]
     complement: tuple[SparseState, ...]
     restricted_traces: dict[tuple[int, int, int], tuple[float, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+        default_factory=dict, init=False, repr=False
     )
-    projected_rows: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    projected_rows: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        codewords = (self.code.logical_zero, self.code.logical_one)
+        if any(abs(c.inner(r)) > DETECT_TOL for r in self.complement for c in codewords):
+            raise ContractViolationError("complement basis overlaps the code space")
 
 
 def is_detectable(code: QuantumCode, op: PauliString) -> bool:

@@ -58,8 +58,11 @@ def range_spec(text: str) -> tuple[float, float, int]:
 
 def parse_range(text: str) -> tuple[float, ...]:
     """Parse 'min:max:steps' into an inclusive uniform grid."""
-    lo, hi, steps = range_spec(text)
-    # numpy.linspace's arithmetic, so that the grid equals it bit for bit
+    return linspace(*range_spec(text))
+
+
+def linspace(lo: float, hi: float, steps: int) -> tuple[float, ...]:
+    """numpy.linspace(lo, hi, steps) in plain floats, equal to it bit for bit."""
     div = steps - 1
     delta = hi - lo
     step = delta / div if div else delta

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from corrqec.errors import ContractViolationError
-from corrqec.fidelity import COMPLEMENT_TRACE_TOL, ThresholdPoint, closed_form, evaluate
+from corrqec.fidelity import ThresholdPoint, closed_form, evaluate
 from corrqec.pauli import SparseState, apply_to_state
 from corrqec.recovery import recovery_dense
 from corrqec.sweep import fmt_float
@@ -40,6 +40,9 @@ X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 UNIT = {0: 1, 1: 1j, 2: -1, 3: -1j}
+
+# largest |restricted trace| of the complement projector per_point_fidelity accepts
+COMPLEMENT_TRACE_TOL = 1e-10
 
 
 def dense_pauli(n, x_mask, z_mask, phase=0):

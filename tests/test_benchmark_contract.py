@@ -113,10 +113,13 @@ def test_traced_verify_request_gives_the_expected_calls(bench):
 
 def test_probe_reads_the_recovery_set():
     src = Path(corrqec.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "probe.py"), "dfs2:bit"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    # one isometry plus a two-dimensional complement
-    assert json.loads(proc.stdout)["recovery_ops"] == 3
+    # dfs2: one isometry plus a two-dimensional complement; concat6: 16
+    # isometries plus 32 complement vectors, which stay built eagerly
+    for pair, ops in (("dfs2:bit", 3), ("concat6:bit", 48)):
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "probe.py"), pair],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["recovery_ops"] == ops, pair

@@ -32,6 +32,7 @@ from corrqec.fidelity import (
     evaluate,
     threshold_mu,
 )
+from corrqec.pauli import SparseState
 from corrqec.recovery import RecoverySet, build_recovery
 from corrqec.schemes import scheme_correctable, scheme_recovery
 
@@ -95,6 +96,9 @@ def test_closed_form_model_agreement_for_dfs():
 def test_closed_form_unsupported_pairs():
     assert closed_form("unencoded", MODEL_I, 0.5, 0.1) is None
     assert closed_form("unencoded", MODEL_II, 0.5, 0.1) is None
+    for scheme, model in (("bit3", 3), ("unencoded", 7), ("concat6", 0)):
+        with pytest.raises(ParameterError, match=f"model must be 1 or 2, got {model}"):
+            closed_form(scheme, model, 0.5, 0.1)
     with pytest.raises(ParameterError):
         closed_form("nope", MODEL_I, 0.5, 0.1)
     with pytest.raises(ParameterError):
@@ -509,9 +513,25 @@ def test_restricted_traces_are_computed_once_per_pauli(monkeypatch):
 
 def test_corrupted_complement_still_raises():
     code, rs = scheme_recovery("dfs2", "bit")
-    # a complement vector inside the code space has a nonzero restricted trace
-    broken = RecoverySet(code, rs.ops, (code.logical_zero,) + rs.complement[1:])
+    # a complement vector inside the code space would give the complement
+    # projector a nonzero restricted trace; such a set cannot be built
     with pytest.raises(ContractViolationError):
-        entanglement_fidelity_corrected(channel(MODEL_I, 2, 0.1, 0.5), broken)
-    with pytest.raises(ContractViolationError):
-        per_point_fidelity(channel(MODEL_I, 2, 0.1, 0.5), broken)
+        RecoverySet(code, rs.ops, (code.logical_zero,) + rs.complement[1:])
+
+
+def test_kernel_takes_two_inner_products_per_isometry(monkeypatch):
+    code, correctable = scheme_correctable("concat6", "bit")
+    rs = build_recovery(code, list(correctable))
+    calls = []
+    original = SparseState.inner
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(SparseState, "inner", counting)
+    ch = channel(MODEL_I, 6, 0.3, 0.4)
+    entanglement_fidelity_corrected(ch, rs)
+    assert len(rs.restricted_traces) == len(ch.terms) == 64
+    # the complement projector is never visited
+    assert len(calls) == 64 * 2 * len(rs.ops) == 2048

@@ -6,7 +6,7 @@ import pytest
 from corrqec.channels import MODEL_I, ChannelParams, NoiseChannel, model1_channel
 from corrqec.codes import bitflip3, concatenate, dfs2, pattern_state, phaseflip3
 from corrqec.errors import ContractViolationError, ParameterError
-from corrqec.pauli import PauliString, apply_to_state, matrix_element
+from corrqec.pauli import PauliString, SparseState, apply_to_state, matrix_element
 from corrqec.recovery import (
     DETECT_TOL,
     RecoverySet,
@@ -263,6 +263,29 @@ def test_complement_of_concatenations(top, bottom, flavor):
             assert abs(r.inner(other) - (i == j)) <= 1e-12
         for op in rs.ops:
             assert abs(op.v0.inner(r)) <= 1e-12 and abs(op.v1.inner(r)) <= 1e-12
+
+
+def test_recovery_set_refuses_a_complement_overlapping_the_code():
+    code = dfs2("bit")
+    rs = build_recovery(code, correctable_set(code, channel_for(code)))
+    zero = code.logical_zero.amplitudes
+
+    def tilted(eps):
+        r = rs.complement[0].amplitudes
+        return SparseState(2, {k: r.get(k, 0j) + eps * zero.get(k, 0j) for k in range(4)})
+
+    # overlaps up to DETECT_TOL are rounding; beyond it the set is refused
+    RecoverySet(code, rs.ops, (tilted(DETECT_TOL / 10),) + rs.complement[1:])
+    with pytest.raises(ContractViolationError):
+        RecoverySet(code, rs.ops, (tilted(DETECT_TOL * 10),) + rs.complement[1:])
+
+
+def test_recovery_sets_compare_by_identity():
+    code, rs = scheme_recovery("concat6", "bit")
+    rebuilt = RecoverySet(code, rs.ops, rs.complement)
+    assert rebuilt != rs
+    assert rs == rs
+    assert len({rs, rebuilt}) == 2
 
 
 def test_build_recovery_rejects_non_correctable_input():
