@@ -28,9 +28,10 @@ every sum of w * |tr|^2 unchanged up to rounding, so the merged view agrees.
 Closed-form fidelity polynomials in (mu, p) exist for the six
 (scheme in {bit3, dfs2, concat6}) x (model in {1, 2}) pairs and are
 evaluated exactly as published; ``closed_form`` returns None for
-``unencoded`` and refuses a model other than 1 or 2.  A scheme is *effective* at (mu, p) when
-its failure probability 1 - F stays strictly below the bare error
-probability p; threshold curves report where that holds.
+``unencoded`` and refuses a model other than 1 or 2.  A scheme is
+*effective* at (mu, p) when its failure probability 1 - F stays strictly
+below the bare error probability p; threshold curves report where that
+holds.
 
 Thresholds do not use the published tables: for these Pauli channels F is
 the total channel weight of the error strings the recovery undoes, which
