@@ -59,6 +59,6 @@ from .recovery import (
     non_detectable_set,
     trace_preservation_deviation,
 )
-from .schemes import BASE_SCHEMES, build_code, resolve_scheme, scheme_qubits, scheme_recovery
+from .schemes import BASE_SCHEMES, build_code, resolve_scheme, scheme_recovery
 
 __version__ = "0.1.0"

@@ -24,7 +24,6 @@ from .fidelity import (
     closed_form,
     dense_oracle_fidelity,
     entanglement_fidelity_corrected,
-    entanglement_fidelity_unencoded,
     evaluate,
     threshold_mu,
 )
@@ -33,8 +32,8 @@ from .recovery import (
     non_detectable_set,
     trace_preservation_deviation,
 )
-from .schemes import scheme_qubits, scheme_recovery
-from .sweep import linspace
+from .schemes import BASE_SCHEMES, scheme_recovery
+from .sweep import MAX_RANGE_STEPS, linspace
 
 CLOSED_FORM_TOL = 1e-10
 NORMALIZATION_TOL = 1e-12
@@ -79,6 +78,12 @@ def closed_form_agreement(grid_steps: int, inject: str | None = None) -> SuiteRe
     if grid_steps < 1:
         # an empty grid would check nothing and pass
         raise ParameterError(f"closed-form grid needs >= 1 step per axis, got {grid_steps}")
+    points = 6 * grid_steps * grid_steps
+    if points > MAX_RANGE_STEPS:
+        raise ParameterError(
+            f"closed-form grid of {grid_steps} steps needs {points} points; "
+            f"at most {MAX_RANGE_STEPS}"
+        )
     if inject is not None and inject not in CLOSED_FORM_KEYS:
         # an unknown key would perturb nothing and pass
         raise ParameterError(
@@ -201,20 +206,19 @@ def flavor_symmetry() -> SuiteResult:
     """Phase-flavor channel, code and recovery give the bit-flavor fidelity.
 
     Each flavor runs through its own channel and its own recovery set, not
-    through ``evaluate``, which maps the phase flavor onto the bit flavor.
+    through ``evaluate``, which maps the phase flavor onto the bit flavor;
+    the bare qubit runs through its trivial one-qubit code.
     """
     grid = linspace(0.0, 1.0, FLAVOR_GRID_STEPS)
 
     def fidelity(base: str, flavor: str, model: int, mu: float, p: float) -> float:
-        params = ChannelParams(p=p, mu=mu, n=scheme_qubits(base), flavor=flavor, model=model)
-        channel = build_channel(params)
-        if base == "unencoded":
-            return entanglement_fidelity_unencoded(channel)
-        return entanglement_fidelity_corrected(channel, scheme_recovery(base, flavor)[1])
+        _, rs = scheme_recovery(base, flavor)
+        params = ChannelParams(p=p, mu=mu, n=rs.code.n, flavor=flavor, model=model)
+        return entanglement_fidelity_corrected(build_channel(params), rs)
 
     worst = 0.0
     for model in _MODELS:
-        for base in _ENCODED + ("unencoded",):
+        for base in BASE_SCHEMES:
             for p in grid:
                 for mu in grid:
                     bit = fidelity(base, "bit", model, mu, p)
@@ -252,7 +256,7 @@ def endpoint_identities() -> SuiteResult:
         worst = max(worst, abs(evaluate("concat6", MODEL_II, 1.0, p).f_numeric - 1.0))
     for mu in ps:
         for model in _MODELS:
-            for scheme in _ENCODED + ("unencoded",):
+            for scheme in BASE_SCHEMES:
                 worst = max(worst, abs(evaluate(scheme, model, mu, 0.0).f_numeric - 1.0))
     detail = "mu=1 identities on 11 p-values; p=0 identity on 11 mu-values"
     return SuiteResult("endpoints", worst <= ENDPOINT_TOL, worst, detail)

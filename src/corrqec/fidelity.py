@@ -28,15 +28,16 @@ every sum of w * |tr|^2 unchanged up to rounding, so the merged view agrees.
 Closed-form fidelity polynomials in (mu, p) exist for the six
 (scheme in {bit3, dfs2, concat6}) x (model in {1, 2}) pairs and are
 evaluated exactly as published; ``closed_form`` returns None for
-``unencoded`` and refuses a model other than 1 or 2.  A scheme is
-*effective* at (mu, p) when its failure probability 1 - F stays strictly
-below the bare error probability p; threshold curves report where that
-holds.
+``unencoded``, for which the paper gives no polynomial, and refuses a model
+other than 1 or 2.  A scheme is *effective* at (mu, p) when it beats the
+bare qubit, the trivial one-qubit code, whose fidelity is 1 - p:
+threshold curves report where F_unencoded - F < 0.
 
 Thresholds do not use the published tables: for these Pauli channels F is
 the total channel weight of the error strings the recovery undoes, which
 gives each (scheme, model) an integer-coefficient polynomial in (mu, p),
-derived once from the correctable set.  At a float p it becomes a
+derived once from the correctable set; the bare qubit's set {I} derives
+1 - p.  At a float p the difference of two such polynomials becomes a
 polynomial in mu with exact rational coefficients, whose real roots are
 isolated and rounded with integer arithmetic only (``roots``), so no
 tolerance decides a sign.
@@ -59,7 +60,7 @@ from .errors import CapacityError, DimensionError, ParameterError
 from .pauli import PauliString, apply_to_state
 from .recovery import RecoverySet, recovery_dense
 from .roots import sign_structure
-from .schemes import resolve_scheme, scheme_correctable, scheme_qubits, scheme_recovery
+from .schemes import resolve_scheme, scheme_correctable, scheme_recovery
 
 
 @dataclass(frozen=True)
@@ -227,12 +228,10 @@ def closed_form(scheme: str, model: int, mu: float, p: float) -> float | None:
     """Published fidelity polynomial for (scheme, model) at (mu, p); None if unpublished."""
     base, _ = resolve_scheme(scheme)
     _check_model(model)
-    poly = _CLOSED_FORMS.get((base, model))
-    if poly is None:
-        return None
     if not 0.0 <= mu <= 1.0 or not 0.0 <= p <= 1.0:
         raise ParameterError("mu and p must lie in [0, 1]")
-    return poly(mu, p)
+    poly = _CLOSED_FORMS.get((base, model))
+    return None if poly is None else poly(mu, p)
 
 
 # --- end-to-end evaluation -------------------------------------------------
@@ -247,33 +246,33 @@ def evaluate(scheme: str, model: int, mu: float, p: float) -> FidelityResult:
     alias such as ``phase3`` gives the numbers of its base scheme.
     """
     base, _ = resolve_scheme(scheme)
+    _, rs = scheme_recovery(base, "bit")
     # ChannelParams checks mu, p and model, so the published polynomial
     # below needs no range check of its own
-    channel = build_channel(ChannelParams(p, mu, scheme_qubits(base), "bit", model))
+    channel = build_channel(ChannelParams(p, mu, rs.code.n, "bit", model))
     if base == "unencoded":
         f = entanglement_fidelity_unencoded(channel)
     else:
-        _, rs = scheme_recovery(base, "bit")
         f = entanglement_fidelity_corrected(channel, rs)
     poly = _CLOSED_FORMS.get((base, model))
     return FidelityResult(mu, p, scheme, model, f, None if poly is None else poly(mu, p), 1.0 - f)
 
 
 def threshold_mu(scheme: str, model: int, p: float) -> ThresholdPoint:
-    """Where, in mu, the scheme beats the bare error probability p.
+    """Where, in mu, the scheme beats the bare qubit.
 
-    Solves g(mu) = 1 - F(mu, p) - p exactly on [0, 1] (``roots``), with F
-    the fidelity polynomial derived from the scheme's correctable set and p
-    taken as the dyadic rational it is.  Boundaries are the correctly
-    rounded roots where g changes sign; a root where g keeps its sign
-    bounds no region.
+    Solves g(mu) = F_unencoded(mu, p) - F(mu, p) = 1 - p - F(mu, p)
+    exactly on [0, 1] (``roots``), with each F the fidelity polynomial
+    derived from its scheme's correctable set and p taken as the dyadic
+    rational it is.  Boundaries are the correctly rounded roots where g
+    changes sign; a root where g keeps its sign bounds no region.
     """
     if not 0.0 < p < 1.0:
         raise ParameterError(f"p must lie strictly inside (0, 1), got {p}")
     base, _ = resolve_scheme(scheme)
-    g = _excess_at(_fidelity_polynomial(base, model), p)
+    g = _excess_at(_fidelity_polynomial("unencoded", model), _fidelity_polynomial(base, model), p)
     if not g:
-        # failure probability equals p for every mu: never strictly better
+        # the same fidelity as the bare qubit for every mu: never strictly better
         return ThresholdPoint(p=p, mu_star=None, branch="none", regions=())
     edges, signs = sign_structure(g)
     regions = []
@@ -367,15 +366,10 @@ def _fidelity_polynomial(base: str, model: int) -> tuple[tuple[int, ...], ...]:
 
     F is the total channel weight of the error strings the recovery undoes:
     the correctable set, which the recovery operators' members partition.
-    The unencoded qubit keeps only the error-free term.
     """
     _check_model(model)
-    if base == "unencoded":
-        n, masks = 1, [0]
-    else:
-        code, correctable = scheme_correctable(base, "bit")
-        n, masks = code.n, [op.x_mask for op in correctable]
-    terms = _combine(*[(1, _mask_weight(model, n, m)) for m in masks])
+    code, correctable = scheme_correctable(base, "bit")
+    terms = _combine(*[(1, _mask_weight(model, code.n, op.x_mask)) for op in correctable])
     terms = {key: c for key, c in terms.items() if c}
     rows = [[0] * (1 + max(j for _, j in terms)) for _ in range(1 + max(i for i, _ in terms))]
     for (i, j), c in terms.items():
@@ -383,17 +377,22 @@ def _fidelity_polynomial(base: str, model: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
-def _excess_at(rows: tuple[tuple[int, ...], ...], p: float) -> list[int]:
-    """Integer coefficients in mu of a positive multiple of 1 - F(mu, p) - p.
+def _excess_at(
+    first: tuple[tuple[int, ...], ...], second: tuple[tuple[int, ...], ...], p: float
+) -> list[int]:
+    """Integer coefficients in mu of a positive multiple of F_first - F_second at p.
 
-    p is the dyadic rational a / b it is; the multiple is b^deg.  Trailing
-    zeros are dropped, so the list is empty when 1 - F - p vanishes.
+    p is the dyadic rational a / b it is; the multiple is b^deg, with deg
+    the larger p-degree of the two.  Trailing zeros are dropped, so the list
+    is empty when the two fidelities agree for every mu.
     """
     a, b = float(p).as_integer_ratio()
-    deg = max(1, max(len(row) for row in rows) - 1)
+    deg = max(len(row) for row in first + second) - 1
     scale = [a**j * b ** (deg - j) for j in range(deg + 1)]
-    g = [-sum(c * s for c, s in zip(row, scale)) for row in rows]
-    g[0] += scale[0] - scale[1]
+    g = [0] * max(len(first), len(second))
+    for sign, rows in ((1, first), (-1, second)):
+        for i, row in enumerate(rows):
+            g[i] += sign * sum(c * s for c, s in zip(row, scale))
     while g and g[-1] == 0:
         g.pop()
     return g

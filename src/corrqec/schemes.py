@@ -7,6 +7,10 @@ synthesis and test coverage.  Scheme names accepted on the command line:
                                            flavor ('bit' default, 'phase')
     phase3, dfs2-phase, concat6-phase   -- aliases forcing the phase flavor
 
+The bare qubit is the trivial one-qubit code |0>, |1> in both flavors: its
+code space is the whole qubit, its correctable set the identity alone, and
+its recovery one isometry with no complement.
+
 The correctable set, and hence the recovery structure, depends only on the
 code and the channel's operator support, never on (p, mu); correctable
 sets and recovery sets are therefore cached per (scheme, flavor).
@@ -20,7 +24,7 @@ from . import codes
 from .channels import FLAVOR_BIT, FLAVOR_PHASE, MODEL_I, ChannelParams, model1_channel
 from .codes import QuantumCode
 from .errors import ParameterError
-from .pauli import PauliString
+from .pauli import PauliString, basis_state
 from .recovery import RecoverySet, build_recovery, correctable_set
 
 BASE_SCHEMES = ("bit3", "dfs2", "concat6", "unencoded")
@@ -30,8 +34,6 @@ _ALIASES = {
     "dfs2-phase": ("dfs2", FLAVOR_PHASE),
     "concat6-phase": ("concat6", FLAVOR_PHASE),
 }
-
-_QUBITS = {"bit3": 3, "dfs2": 2, "concat6": 6, "unencoded": 1}
 
 
 def resolve_scheme(name: str, flavor: str | None = None) -> tuple[str, str]:
@@ -51,12 +53,8 @@ def resolve_scheme(name: str, flavor: str | None = None) -> tuple[str, str]:
     return name, flavor
 
 
-def scheme_qubits(base: str) -> int:
-    return _QUBITS[base]
-
-
-def build_code(base: str, flavor: str) -> QuantumCode | None:
-    """Codewords for a base scheme; None for the unencoded single qubit."""
+def build_code(base: str, flavor: str) -> QuantumCode:
+    """Codewords for a base scheme."""
     if base == "bit3":
         return codes.bitflip3() if flavor == FLAVOR_BIT else codes.phaseflip3()
     if base == "dfs2":
@@ -73,27 +71,26 @@ def build_code(base: str, flavor: str) -> QuantumCode | None:
         # Z-strings is not equivalent (it loses the degenerate pairing).
         return codes.concatenate(codes.dfs2("bit"), codes.phaseflip3(), label="concat6-phase")
     if base == "unencoded":
-        return None
+        # the whole qubit is the code space, so the flavor changes nothing
+        return QuantumCode(1, basis_state(1, 0), basis_state(1, 1), "unencoded")
     raise ParameterError(f"unknown base scheme {base!r}")
 
 
 @lru_cache(maxsize=None)
 def scheme_correctable(base: str, flavor: str) -> tuple[QuantumCode, tuple[PauliString, ...]]:
-    """Code plus the correctable error set of an encoded scheme (cached).
+    """Code plus the correctable error set of a scheme (cached).
 
     The channel used for the derivation only supplies the operator support,
     which is the full set of X-strings (Z-strings) on n qubits for both
     models at any parameter point.
     """
     code = build_code(base, flavor)
-    if code is None:
-        raise ParameterError("the unencoded scheme has no recovery operation")
     params = ChannelParams(p=0.5, mu=0.5, n=code.n, flavor=flavor, model=MODEL_I)
     return code, tuple(correctable_set(code, model1_channel(params)))
 
 
 @lru_cache(maxsize=None)
 def scheme_recovery(base: str, flavor: str) -> tuple[QuantumCode, RecoverySet]:
-    """Code plus synthesized recovery for an encoded scheme (cached)."""
+    """Code plus synthesized recovery for a scheme (cached)."""
     code, correctable = scheme_correctable(base, flavor)
     return code, build_recovery(code, list(correctable))

@@ -347,6 +347,30 @@ def test_closed_form_suite_refuses_an_empty_grid():
             closed_form_agreement(steps)
 
 
+@pytest.mark.parametrize("grid", ["409", "100000000"])
+def test_huge_verify_grid_is_refused(capsys, monkeypatch, grid):
+    # 6 x grid^2 closed-form points exceed MAX_RANGE_STEPS: exit 2 before any grid
+    def unreachable(*args):
+        raise AssertionError("built a grid past the bound")
+
+    monkeypatch.setattr(checks, "linspace", unreachable)
+    code, out, err = run_cli(capsys, "verify", "--grid", grid)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(MAX_RANGE_STEPS) in err
+
+
+def test_largest_verify_grid_is_accepted(monkeypatch):
+    class Row:
+        f_numeric = 0.5
+
+    monkeypatch.setattr(checks, "evaluate", lambda *args: Row)
+    monkeypatch.setattr(checks, "closed_form", lambda *args: 0.5)
+    result = closed_form_agreement(408)
+    assert 6 * 408 * 408 <= MAX_RANGE_STEPS
+    assert result.passed and result.detail.startswith("grid 408x408")
+
+
 def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "missing" / "out.csv"
     code, out, err = run_cli(

@@ -101,8 +101,11 @@ def test_closed_form_unsupported_pairs():
             closed_form(scheme, model, 0.5, 0.1)
     with pytest.raises(ParameterError):
         closed_form("nope", MODEL_I, 0.5, 0.1)
-    with pytest.raises(ParameterError):
-        closed_form("bit3", MODEL_I, 1.5, 0.1)
+    for scheme in ("bit3", "unencoded"):
+        with pytest.raises(ParameterError, match="must lie in"):
+            closed_form(scheme, MODEL_I, 1.5, 0.1)
+        with pytest.raises(ParameterError, match="must lie in"):
+            closed_form(scheme, MODEL_II, 0.5, -3.0)
 
 
 def test_closed_form_aliases_follow_base_scheme():

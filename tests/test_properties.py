@@ -8,15 +8,14 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corrqec.channels import MODEL_I, MODEL_II, WEIGHT_SUM_TOL, ChannelParams, build_channel
-from corrqec.checks import CLOSED_FORM_TOL, FLAVOR_TOL
+from corrqec.channels import MODEL_I, MODEL_II, ChannelParams, build_channel
+from corrqec.checks import CLOSED_FORM_TOL, FLAVOR_TOL, NORMALIZATION_TOL
 from corrqec.fidelity import (
     FidelityResult,
     entanglement_fidelity_corrected,
-    entanglement_fidelity_unencoded,
     evaluate,
 )
-from corrqec.schemes import BASE_SCHEMES, scheme_qubits, scheme_recovery
+from corrqec.schemes import BASE_SCHEMES, scheme_recovery
 from corrqec.sweep import parse_range, render_fidelity_json
 
 from _oracles import dict_fidelity_json
@@ -33,7 +32,7 @@ schemes = st.sampled_from(BASE_SCHEMES)
 @given(n=st.integers(min_value=1, max_value=8), model=models, flavor=flavors, p=unit, mu=unit)
 def test_channel_weights_sum_to_one(n, model, flavor, p, mu):
     channel = build_channel(ChannelParams(p=p, mu=mu, n=n, flavor=flavor, model=model))
-    assert abs(channel.total_weight() - 1.0) <= WEIGHT_SUM_TOL
+    assert abs(channel.total_weight() - 1.0) <= NORMALIZATION_TOL
     assert all(w >= 0.0 for w, _ in channel.terms)
 
 
@@ -54,11 +53,9 @@ def test_bit_and_phase_pipelines_agree(scheme, model, p, mu):
     # each flavor through its own channel and its own recovery set, which is
     # why evaluate needs no flavor argument
     def fidelity(flavor: str) -> float:
-        params = ChannelParams(p=p, mu=mu, n=scheme_qubits(scheme), flavor=flavor, model=model)
-        channel = build_channel(params)
-        if scheme == "unencoded":
-            return entanglement_fidelity_unencoded(channel)
-        return entanglement_fidelity_corrected(channel, scheme_recovery(scheme, flavor)[1])
+        _, rs = scheme_recovery(scheme, flavor)
+        params = ChannelParams(p=p, mu=mu, n=rs.code.n, flavor=flavor, model=model)
+        return entanglement_fidelity_corrected(build_channel(params), rs)
 
     assert abs(fidelity("bit") - fidelity("phase")) <= FLAVOR_TOL
 
