@@ -17,18 +17,22 @@ probability p and a memory degree mu in [0, 1]:
   Lambda_1 flips either nothing, with weight (1-p)^n, or every qubit at
   once, with weight 1 - (1-p)^n.
 
-A channel stores its Kraus terms as (weight, PauliString) pairs where the
-Kraus operator is sqrt(weight) * op.  Model II's term list keeps Lambda_0
-and Lambda_1 contributions as separate entries even when they carry the
-same Pauli (the identity, and for mu > 0 the full flip); this unmerged
-list is the canonical decomposition consumed by the fidelity evaluator.
-`NoiseChannel.merged()` returns the deduplicated view used for
-normalization checks and correctable-set derivation.
+A channel stores its Paulis and their weights side by side: the Kraus
+operator of term k is sqrt(weights[k]) * paulis[k].  The Paulis depend only
+on (n, model, flavor), so the builders give every channel of one such triple
+the same cached tuple and build only the weight list per (mu, p).
+Model II's term list keeps Lambda_0 and Lambda_1 contributions as separate
+entries even when they carry the same Pauli (the identity, and for mu > 0
+the full flip); this unmerged list is the canonical decomposition consumed
+by the fidelity evaluator.  `NoiseChannel.merged()` returns the
+deduplicated view used for normalization checks and correctable-set
+derivation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import CapacityError, ParameterError
@@ -76,13 +80,25 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class NoiseChannel:
-    """A Pauli channel: list of (weight, op) with Kraus operator sqrt(w)*op."""
+    """A Pauli channel: Kraus operators sqrt(weights[k]) * paulis[k].
+
+    ``shared`` marks ``paulis`` as a builder's cached tuple, the one object
+    that every channel of its (n, model, flavor) carries; the fidelity
+    kernel keeps a term table on a recovery set for such a tuple only.
+    """
 
     n: int
-    terms: tuple[tuple[float, PauliString], ...]
+    paulis: tuple[PauliString, ...]
+    weights: Sequence[float]
+    shared: bool = field(default=False, compare=False, repr=False)
+
+    @property
+    def terms(self) -> tuple[tuple[float, PauliString], ...]:
+        """The (weight, Pauli) pairs, in term order."""
+        return tuple(zip(self.weights, self.paulis))
 
     def total_weight(self) -> float:
-        return sum(w for w, _ in self.terms)
+        return sum(self.weights)
 
     def merged(self) -> "NoiseChannel":
         """Deduplicate identical Paulis by adding their weights.
@@ -95,8 +111,8 @@ class NoiseChannel:
             key = (op.x_mask, op.z_mask, op.phase)
             acc[key] = acc.get(key, 0.0) + w
             ops[key] = op
-        terms = tuple((acc[key], ops[key]) for key in sorted(acc))
-        return NoiseChannel(self.n, terms)
+        keys = sorted(acc)
+        return NoiseChannel(self.n, tuple(ops[key] for key in keys), [acc[key] for key in keys])
 
 
 def _chain_weights(n: int, p: float, mu: float) -> list[float]:
@@ -136,13 +152,21 @@ def _flavored_strings(n: int, flavor: str) -> tuple[PauliString, ...]:
     return tuple(make(n, m) for m in range(1 << n))
 
 
+@lru_cache(maxsize=None)
+def _model2_strings(n: int, flavor: str) -> tuple[PauliString, ...]:
+    """Model II's Paulis: every string by mask, then the no-flip and all-flip strings."""
+    strings = _flavored_strings(n, flavor)
+    return strings + (strings[0], strings[-1])
+
+
 def model1_channel(params: ChannelParams) -> NoiseChannel:
     """Markov-correlated channel; 2^n Kraus terms, masks ascending."""
     if params.model != MODEL_I:
         raise ParameterError(f"params.model must be {MODEL_I} for model1_channel")
     n, p, mu = params.n, params.p, params.mu
-    weights = _chain_weights(n, p, mu)
-    return NoiseChannel(n, tuple(zip(weights, _flavored_strings(n, params.flavor))))
+    return NoiseChannel(
+        n, _flavored_strings(n, params.flavor), _chain_weights(n, p, mu), shared=True
+    )
 
 
 def model2_channel(params: ChannelParams) -> NoiseChannel:
@@ -154,14 +178,13 @@ def model2_channel(params: ChannelParams) -> NoiseChannel:
     if params.model != MODEL_II:
         raise ParameterError(f"params.model must be {MODEL_II} for model2_channel")
     n, p, mu = params.n, params.p, params.mu
-    strings = _flavored_strings(n, params.flavor)
     # memoryless weight of a string with k flips, scaled by (1 - mu)
     by_flips = [(1.0 - mu) * (p**k * (1.0 - p) ** (n - k)) for k in range(n + 1)]
     weights = [by_flips[k] for k in _popcounts(n)]
     survive = (1.0 - p) ** n
     weights.append(mu * survive)
     weights.append(mu * (1.0 - survive))
-    return NoiseChannel(n, tuple(zip(weights, strings + (strings[0], strings[-1]))))
+    return NoiseChannel(n, _model2_strings(n, params.flavor), weights, shared=True)
 
 
 def build_channel(params: ChannelParams) -> NoiseChannel:
@@ -172,5 +195,5 @@ def build_channel(params: ChannelParams) -> NoiseChannel:
 
 def phase_flavor(channel: NoiseChannel) -> NoiseChannel:
     """Hadamard-conjugate every Kraus operator; weights unchanged."""
-    terms = tuple((w, hadamard_conjugate(op)) for w, op in channel.terms)
-    return NoiseChannel(channel.n, terms)
+    paulis = tuple(hadamard_conjugate(op) for op in channel.paulis)
+    return NoiseChannel(channel.n, paulis, channel.weights)

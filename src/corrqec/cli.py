@@ -176,8 +176,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_correctable(args: argparse.Namespace) -> int:
     base, flavor = resolve_scheme(args.scheme, args.flavor)
-    if base == "unencoded":
-        raise ParameterError("the unencoded scheme has no correctable set")
     code, rs = scheme_recovery(base, flavor)
     channel = build_channel(
         ChannelParams(p=0.5, mu=0.5, n=code.n, flavor=flavor, model=args.model)

@@ -16,10 +16,13 @@ kernel sums over the isometries only.
 For Pauli noise the restricted traces depend only on the Pauli A_k, never
 on (mu, p).  The recovery set therefore memoizes, per Pauli, the nonzero
 squares |tr[R_l A_k]_C|^2, computed with the sparse arithmetic above the
-first time the Pauli occurs.
-A fidelity point is then one pass over the channel's terms adding w_k * s
-for each memoized square s, in the same order and with the same operands
-as recomputing every trace, so the result is bit-identical to it.
+first time the Pauli occurs.  From that memo it builds, once per builder's
+cached Pauli tuple, a term table: the (k, square) pairs of the nonzero
+squares in term order.  A fidelity point is then one pass over the table
+adding w_k * s, the same operands in the same order as recomputing every
+trace, so the result is bit-identical to it.  A channel whose Paulis are
+not a builder's tuple (a merged or phase-flavored view, or one built by
+hand) takes the same pass through the memo and leaves no table behind.
 
 The evaluator consumes the channel's canonical (unmerged) term list.
 Merging terms that carry the same Pauli adds their weights w, which leaves
@@ -95,16 +98,34 @@ def entanglement_fidelity_corrected(channel: NoiseChannel, rs: RecoverySet) -> f
     """Fidelity of recovery-after-channel on the logical qubit of ``rs.code``."""
     if channel.n != rs.code.n:
         raise DimensionError(f"channel acts on {channel.n} qubits, code has {rs.code.n}")
-    memo = rs.restricted_traces
+    paulis = channel.paulis
+    entry = rs.term_tables.get(id(paulis))
+    if entry is None:
+        table = _term_table(rs, paulis)
+        if channel.shared:
+            # the entry holds the tuple, so its id cannot be reused while it is kept
+            rs.term_tables[id(paulis)] = (paulis, table)
+    else:
+        table = entry[1]
+    weights = channel.weights
     total = 0.0
-    for w, op in channel.terms:
+    # not sum(): from Python 3.12 it compensates float rounding, changing the last bits
+    for i, s in table:
+        total += weights[i] * s
+    return total / 4.0
+
+
+def _term_table(rs: RecoverySet, paulis: tuple[PauliString, ...]) -> tuple[tuple[int, float], ...]:
+    """(term index, square) for every nonzero square of every Pauli, in term order."""
+    memo = rs.restricted_traces
+    table = []
+    for i, op in enumerate(paulis):
         key = (op.x_mask, op.z_mask, op.phase)
         squares = memo.get(key)
         if squares is None:
             squares = memo[key] = _squared_restricted_traces(rs, op)
-        for s in squares:
-            total += w * s
-    return total / 4.0
+        table.extend((i, s) for s in squares)
+    return tuple(table)
 
 
 def _squared_restricted_traces(rs: RecoverySet, op: PauliString) -> tuple[float, ...]:
@@ -125,7 +146,7 @@ def entanglement_fidelity_unencoded(channel: NoiseChannel) -> float:
     """(1/N^2) * sum_k |tr A_k|^2; only identity Paulis have nonzero trace."""
     dim = 1 << channel.n
     total = 0.0
-    for w, op in channel.terms:
+    for w, op in zip(channel.weights, channel.paulis):
         if op.is_identity:
             tr = op.sign * dim
             total += w * abs(tr) ** 2

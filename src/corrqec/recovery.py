@@ -66,8 +66,11 @@ class RecoverySet:
 
     ``restricted_traces`` memoizes, per channel Pauli keyed by
     ``(x_mask, z_mask, phase)``, the nonzero squared restricted traces
-    ``|tr[R_l A]_C|^2`` of the isometries, in order; it is filled by the
-    fidelity kernel and valid for ``code`` only.
+    ``|tr[R_l A]_C|^2`` of the isometries, in order.  ``term_tables``
+    holds, per builder's cached Pauli tuple (``NoiseChannel.shared``) keyed
+    by its ``id`` and kept alive with it, the ``(term index, square)``
+    pairs of those squares in term order.  The fidelity kernel fills both,
+    and both are valid for ``code`` only.
     ``projected_rows`` holds the dense oracle's read-only rows
     ``(P R_l)^T`` flattened, one per recovery matrix, with ``P`` the code
     projector; the oracle sets it on its first call for this set.
@@ -79,6 +82,9 @@ class RecoverySet:
     restricted_traces: dict[tuple[int, int, int], tuple[float, ...]] = field(
         default_factory=dict, init=False, repr=False
     )
+    term_tables: dict[
+        int, tuple[tuple[PauliString, ...], tuple[tuple[int, float], ...]]
+    ] = field(default_factory=dict, init=False, compare=False, repr=False)
     projected_rows: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:

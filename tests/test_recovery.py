@@ -106,7 +106,7 @@ def test_correctable_set_ignores_parameters():
 
 def test_correctable_set_empty_channel():
     with pytest.raises(ParameterError):
-        correctable_set(bitflip3(), NoiseChannel(n=3, terms=()))
+        correctable_set(bitflip3(), NoiseChannel(3, (), []))
 
 
 def test_build_recovery_bit3():
