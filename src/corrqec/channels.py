@@ -31,7 +31,6 @@ derivation.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -89,7 +88,7 @@ class NoiseChannel:
 
     n: int
     paulis: tuple[PauliString, ...]
-    weights: Sequence[float]
+    weights: list[float]
     shared: bool = field(default=False, compare=False, repr=False)
 
     @property
@@ -112,7 +111,9 @@ class NoiseChannel:
             acc[key] = acc.get(key, 0.0) + w
             ops[key] = op
         keys = sorted(acc)
-        return NoiseChannel(self.n, tuple(ops[key] for key in keys), [acc[key] for key in keys])
+        return NoiseChannel(
+            self.n, tuple(ops[key] for key in keys), [acc[key] for key in keys]
+        )
 
 
 def _chain_weights(n: int, p: float, mu: float) -> list[float]:

@@ -101,21 +101,21 @@ def entanglement_fidelity_corrected(channel: NoiseChannel, rs: RecoverySet) -> f
     paulis = channel.paulis
     entry = rs.term_tables.get(id(paulis))
     if entry is None:
-        table = _term_table(rs, paulis)
+        entry = (paulis, _term_table(rs, paulis))
         if channel.shared:
             # the entry holds the tuple, so its id cannot be reused while it is kept
-            rs.term_tables[id(paulis)] = (paulis, table)
-    else:
-        table = entry[1]
+            rs.term_tables[id(paulis)] = entry
     weights = channel.weights
     total = 0.0
     # not sum(): from Python 3.12 it compensates float rounding, changing the last bits
-    for i, s in table:
+    for i, s in entry[1]:
         total += weights[i] * s
     return total / 4.0
 
 
-def _term_table(rs: RecoverySet, paulis: tuple[PauliString, ...]) -> tuple[tuple[int, float], ...]:
+def _term_table(
+    rs: RecoverySet, paulis: tuple[PauliString, ...]
+) -> tuple[tuple[int, float], ...]:
     """(term index, square) for every nonzero square of every Pauli, in term order."""
     memo = rs.restricted_traces
     table = []

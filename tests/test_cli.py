@@ -282,9 +282,25 @@ def test_correctable_phase_flavor(capsys):
     assert "weight 1 (3): Z1 Z2 Z3" in out
 
 
-def test_correctable_rejects_unencoded(capsys):
-    code, _, err = run_cli(capsys, "correctable", "--scheme", "unencoded")
-    assert code == 2 and "unencoded" in err
+def test_correctable_lists_the_trivial_set_for_unencoded(capsys):
+    # the bare qubit is the trivial code: only the identity is correctable
+    for flavor, flip in (("bit", "X1"), ("phase", "Z1")):
+        code, out, err = run_cli(
+            capsys, "correctable", "--scheme", "unencoded", "--flavor", flavor
+        )
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == (
+            f"scheme unencoded ({flavor} flavor, model 1): 1 qubits, 2 channel operators"
+        )
+        assert lines[1:7] == [
+            "correctable set: 1 operators, weight census {0: 1}",
+            "  weight 0 (1): I",
+            "detectable set: 1 operators",
+            f"non-detectable (1): {flip}",
+            "recovery operators: 1",
+            "alternative equal-size correctable sets under reordering: 0",
+        ]
 
 
 def test_console_entry_point_runs():

@@ -15,9 +15,11 @@ from corrqec.channels import (
     MODEL_I,
     MODEL_II,
     ChannelParams,
+    NoiseChannel,
     build_channel,
     model1_channel,
     model2_channel,
+    phase_flavor,
 )
 from corrqec.errors import (
     CapacityError,
@@ -487,12 +489,17 @@ def test_memoized_kernel_is_bit_identical_to_per_point_loop():
                 for p in EDGE_VALUES:
                     for mu in EDGE_VALUES:
                         ch = channel(model, code.n, p, mu, flavor)
+                        # terms reversed by hand: a table belongs to one Pauli
+                        # tuple, not to (n, model)
+                        reverse = NoiseChannel(ch.n, ch.paulis[::-1], ch.weights[::-1])
+                        views = [ch, reverse]
                         # only model II repeats Paulis, so only it has a distinct merged view
-                        views = (ch, ch.merged()) if model == MODEL_II else (ch,)
+                        if model == MODEL_II:
+                            views.append(ch.merged())
                         for view in views:
                             got = entanglement_fidelity_corrected(view, rs)
                             assert got == per_point_fidelity(view, rs), (
-                                scheme, flavor, model, p, mu, view is not ch
+                                scheme, flavor, model, p, mu, views.index(view)
                             )
 
 
@@ -512,6 +519,8 @@ def test_restricted_traces_are_computed_once_per_pauli(monkeypatch):
             entanglement_fidelity_corrected(channel(model, 6, p, mu), fresh)
     assert len(fills) == len(set(fills)) == 64
     assert set(fresh.restricted_traces) == set(fills)
+    # one term table per builder's Pauli tuple, both filled from the same memo
+    assert len(fresh.term_tables) == 2
 
 
 def test_corrupted_complement_still_raises():
@@ -538,3 +547,42 @@ def test_kernel_takes_two_inner_products_per_isometry(monkeypatch):
     assert len(rs.restricted_traces) == len(ch.terms) == 64
     # the complement projector is never visited
     assert len(calls) == 64 * 2 * len(rs.ops) == 2048
+    # a warm point reads its term table only
+    for model in (MODEL_I, MODEL_II):
+        entanglement_fidelity_corrected(channel(model, 6, 0.1, 0.9), rs)
+    assert len(calls) == 2048
+
+
+@pytest.mark.parametrize(
+    "scheme, sizes",
+    [("concat6", ((32, 64), (34, 66))), ("bit3", ((4, 8), (5, 10))), ("dfs2", ((2, 4), (4, 6)))],
+)
+def test_term_table_holds_only_the_nonzero_squares(scheme, sizes):
+    # bit flavor: every Pauli has at most one nonzero square, so a table
+    # lists the correctable terms, and model II's repeated identity and full flip
+    code, correctable = scheme_correctable(scheme, "bit")
+    rs = build_recovery(code, list(correctable))
+    for model, (pairs, terms) in zip((MODEL_I, MODEL_II), sizes):
+        ch = channel(model, code.n, 0.2, 0.5)
+        entanglement_fidelity_corrected(ch, rs)
+        paulis, table = rs.term_tables[id(ch.paulis)]
+        assert paulis is ch.paulis and len(paulis) == terms
+        assert len(table) == pairs
+        assert [i for i, _ in table] == sorted({i for i, _ in table})
+        assert all(s != 0.0 for _, s in table)
+
+
+def test_non_builder_channels_store_no_table():
+    # each merged() or phase_flavor() call makes a new Pauli tuple; keeping a
+    # table per tuple would add one table per call
+    for scheme in ("concat6", "dfs2"):
+        code, rs = scheme_recovery(scheme, "bit")
+        ch = channel(MODEL_II, code.n, 0.2, 0.6)
+        entanglement_fidelity_corrected(ch, rs)
+        tables = len(rs.term_tables)
+        views = (ch.merged, lambda: phase_flavor(ch))
+        expected = [per_point_fidelity(view(), rs) for view in views]
+        for k in range(500):
+            for view, want in zip(views, expected):
+                assert entanglement_fidelity_corrected(view(), rs) == want, k
+        assert len(rs.term_tables) == tables
