@@ -21,6 +21,10 @@ A channel stores its Paulis and their weights side by side: the Kraus
 operator of term k is sqrt(weights[k]) * paulis[k].  The Paulis depend only
 on (n, model, flavor), so the builders give every channel of one such triple
 the same cached tuple and build only the weight list per (mu, p).
+The weights are defined once, by ``_chain_weights`` and ``_model2_weights``,
+written with ``1 - p`` rather than ``1.0 - p``: the same float arithmetic,
+and the threshold derivation runs the same code on exact polynomials in
+(mu, p) (``fidelity._fidelity_polynomial``).
 Model II's term list keeps Lambda_0 and Lambda_1 contributions as separate
 entries even when they carry the same Pauli (the identity, and for mu > 0
 the full flip); this unmerged list is the canonical decomposition consumed
@@ -63,8 +67,9 @@ class ChannelParams:
     model: int = MODEL_I
 
     def __post_init__(self) -> None:
-        _check_unit("p", self.p)
-        _check_unit("mu", self.mu)
+        # stored as floats: the weight code's integer literals keep an int p an int
+        object.__setattr__(self, "p", _check_unit("p", self.p))
+        object.__setattr__(self, "mu", _check_unit("mu", self.mu))
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
         if self.n > MAX_CHANNEL_QUBITS:
@@ -123,7 +128,7 @@ def _chain_weights(n: int, p: float, mu: float) -> list[float]:
     each k-qubit weight by the step factor P(cur | prev), so every weight is
     P(i_1) * P(i_2 | i_1) * ... multiplied left to right.
     """
-    q, keep = 1.0 - p, 1.0 - mu
+    q, keep = 1 - p, 1 - mu
     # P(i_k = cur | i_{k-1} = prev): stay0 = P(0|0), fall = P(0|1), rise = P(1|0), stay1 = P(1|1)
     stay0, fall = keep * q + mu, keep * q
     rise, stay1 = keep * p, keep * p + mu
@@ -134,6 +139,17 @@ def _chain_weights(n: int, p: float, mu: float) -> list[float]:
         low, high = weights[:half], weights[half:]
         weights = [w * stay0 for w in low] + [w * fall for w in high]
         weights += [w * rise for w in low] + [w * stay1 for w in high]
+    return weights
+
+
+def _model2_weights(n: int, p: float, mu: float) -> list[float]:
+    """Model II's weights in ``_model2_strings`` order: by mask, then no flip and all flip."""
+    # memoryless weight of a string with k flips, scaled by (1 - mu)
+    by_flips = [(1 - mu) * (p**k * (1 - p) ** (n - k)) for k in range(n + 1)]
+    weights = [by_flips[k] for k in _popcounts(n)]
+    survive = (1 - p) ** n
+    weights.append(mu * survive)
+    weights.append(mu * (1 - survive))
     return weights
 
 
@@ -179,13 +195,9 @@ def model2_channel(params: ChannelParams) -> NoiseChannel:
     if params.model != MODEL_II:
         raise ParameterError(f"params.model must be {MODEL_II} for model2_channel")
     n, p, mu = params.n, params.p, params.mu
-    # memoryless weight of a string with k flips, scaled by (1 - mu)
-    by_flips = [(1.0 - mu) * (p**k * (1.0 - p) ** (n - k)) for k in range(n + 1)]
-    weights = [by_flips[k] for k in _popcounts(n)]
-    survive = (1.0 - p) ** n
-    weights.append(mu * survive)
-    weights.append(mu * (1.0 - survive))
-    return NoiseChannel(n, _model2_strings(n, params.flavor), weights, shared=True)
+    return NoiseChannel(
+        n, _model2_strings(n, params.flavor), _model2_weights(n, p, mu), shared=True
+    )
 
 
 def build_channel(params: ChannelParams) -> NoiseChannel:

@@ -37,13 +37,13 @@ bare qubit, the trivial one-qubit code, whose fidelity is 1 - p:
 threshold curves report where F_unencoded - F < 0.
 
 Thresholds do not use the published tables: for these Pauli channels F is
-the total channel weight of the error strings the recovery undoes, which
-gives each (scheme, model) an integer-coefficient polynomial in (mu, p),
-derived once from the correctable set; the bare qubit's set {I} derives
-1 - p.  At a float p the difference of two such polynomials becomes a
-polynomial in mu with exact rational coefficients, whose real roots are
-isolated and rounded with integer arithmetic only (``roots``), so no
-tolerance decides a sign.
+the total channel weight of the error strings the recovery undoes.  The
+channel builders' own weight code, run on the symbols mu and p, gives that
+as an integer-coefficient polynomial per (scheme, model), derived once from
+the correctable set; the bare qubit's set {I} derives 1 - p.  At a float p
+the difference of two such polynomials becomes a polynomial in mu with
+exact rational coefficients, whose real roots are isolated and rounded with
+integer arithmetic only (``roots``), so no tolerance decides a sign.
 """
 
 from __future__ import annotations
@@ -51,14 +51,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
+from math import prod
 
-from .channels import (
-    MODEL_I,
-    MODEL_II,
-    ChannelParams,
-    NoiseChannel,
-    build_channel,
-)
+from .channels import MODEL_I, MODEL_II, ChannelParams, NoiseChannel, build_channel
+from .channels import _chain_weights, _flavored_strings, _model2_strings, _model2_weights
 from .errors import CapacityError, DimensionError, ParameterError
 from .pauli import PauliString, apply_to_state
 from .recovery import RecoverySet, recovery_dense
@@ -332,53 +328,39 @@ def _branch(regions: list[tuple[float, float]]) -> str:
 
 
 # --- derived fidelity polynomials ------------------------------------------
-#
-# A polynomial in (mu, p) is a dict {(mu power, p power): integer coefficient}.
 
-_ONE = {(0, 0): 1}
-_MU = {(1, 0): 1}
-_P = {(0, 1): 1}
+class _Poly(dict):
+    """An integer-coefficient polynomial in (mu, p): {(mu power, p power): c}.
+
+    It has the arithmetic of the channel builders' weight code (+ and * with
+    ints and with itself, int - poly, poly ** int), so that code runs on the
+    symbols mu and p.
+    """
+
+    def __add__(self, other: int | _Poly) -> _Poly:
+        out = _Poly(self)
+        for key, c in _poly(other).items():
+            out[key] = out.get(key, 0) + c
+        return out
+
+    def __mul__(self, other: int | _Poly) -> _Poly:
+        out, other = _Poly(), _poly(other)
+        for (i, j), a in self.items():
+            for (k, l), b in other.items():
+                out[i + k, j + l] = out.get((i + k, j + l), 0) + a * b
+        return out
+
+    def __rsub__(self, other: int) -> _Poly:
+        return -1 * self + other
+
+    def __pow__(self, k: int) -> _Poly:
+        return prod([self] * k, start=_poly(1))
+
+    __radd__, __rmul__ = __add__, __mul__
 
 
-def _combine(*terms: tuple[int, dict]) -> dict:
-    """Sum of c * poly over the (c, poly) pairs."""
-    out: dict[tuple[int, int], int] = {}
-    for c, poly in terms:
-        for key, v in poly.items():
-            out[key] = out.get(key, 0) + c * v
-    return out
-
-
-def _times(*polys: dict) -> dict:
-    out = _ONE
-    for poly in polys:
-        acc: dict[tuple[int, int], int] = {}
-        for (i, j), a in out.items():
-            for (k, l), b in poly.items():
-                acc[i + k, j + l] = acc.get((i + k, j + l), 0) + a * b
-        out = acc
-    return out
-
-
-def _mask_weight(model: int, n: int, mask: int) -> dict:
-    """Channel weight of the error string on ``mask`` (bit k-1 = qubit k)."""
-    q = _combine((1, _ONE), (-1, _P))
-    keep = _combine((1, _ONE), (-1, _MU))
-    marginal = (q, _P)
-    flips = [(mask >> k) & 1 for k in range(n)]
-    if model == MODEL_I:
-        # P(i_1) times the chain factors (1 - mu) P(i_k) + mu delta(i_k, i_{k-1})
-        factors = [marginal[flips[0]]]
-        for prev, cur in zip(flips, flips[1:]):
-            factors.append(_combine((1, _times(keep, marginal[cur])), (prev == cur, _MU)))
-        return _times(*factors)
-    k = mask.bit_count()
-    survive = _times(*[q] * n)
-    return _combine(
-        (1, _times(keep, *[_P] * k, *[q] * (n - k))),
-        (mask == 0, _times(_MU, survive)),
-        (mask == (1 << n) - 1, _combine((1, _MU), (-1, _times(_MU, survive)))),
-    )
+def _poly(value: int | _Poly) -> _Poly:
+    return value if isinstance(value, _Poly) else _Poly({(0, 0): value})
 
 
 @lru_cache(maxsize=None)
@@ -390,8 +372,14 @@ def _fidelity_polynomial(base: str, model: int) -> tuple[tuple[int, ...], ...]:
     """
     _check_model(model)
     code, correctable = scheme_correctable(base, "bit")
-    terms = _combine(*[(1, _mask_weight(model, code.n, op.x_mask)) for op in correctable])
-    terms = {key: c for key, c in terms.items() if c}
+    n, p, mu = code.n, _Poly({(0, 1): 1}), _Poly({(1, 0): 1})
+    if model == MODEL_I:
+        paulis, weights = _flavored_strings(n, "bit"), _chain_weights(n, p, mu)
+    else:
+        paulis, weights = _model2_strings(n, "bit"), _model2_weights(n, p, mu)
+    kept = set(correctable)
+    total = sum(w for w, op in zip(weights, paulis) if op in kept)
+    terms = {key: c for key, c in total.items() if c}
     rows = [[0] * (1 + max(j for _, j in terms)) for _ in range(1 + max(i for i, _ in terms))]
     for (i, j), c in terms.items():
         rows[i][j] = c
