@@ -13,6 +13,7 @@ from corrqec.channels import (
 )
 from corrqec.cli import main
 from corrqec.errors import CapacityError, ParameterError
+from corrqec.fidelity import _Poly
 
 from _oracles import (
     choi_matrix,
@@ -248,6 +249,29 @@ def test_chain_weights_equal_the_indexed_step_lookup():
                 want = indexed_chain_weights(n, p, mu)
                 # hex also tells -0.0 from 0.0
                 assert [w.hex() for w in got] == [w.hex() for w in want], (n, p, mu)
+
+
+def test_integer_parameters_are_stored_as_floats():
+    # the weight code writes 1 - p, which would keep an int p an int
+    for model in (MODEL_I, MODEL_II):
+        for p, mu in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            given = params(p, mu, 2, model)
+            assert type(given.p) is float and type(given.mu) is float
+            got = build_channel(given).weights
+            assert all(type(w) is float for w in got), (model, p, mu)
+            want = build_channel(params(float(p), float(mu), 2, model)).weights
+            assert [w.hex() for w in got] == [w.hex() for w in want], (model, p, mu)
+
+
+def test_weights_sum_to_one_exactly():
+    # the weight functions run on the symbols p and mu, as the threshold
+    # derivation runs them, so normalization holds as a polynomial identity
+    p, mu = _Poly({(0, 1): 1}), _Poly({(1, 0): 1})
+    weight_functions = {MODEL_I: channels._chain_weights, MODEL_II: channels._model2_weights}
+    for n in range(1, 9):
+        for model, weigh in weight_functions.items():
+            total = sum(weigh(n, p, mu))
+            assert {key: c for key, c in total.items() if c} == {(0, 0): 1}, (model, n)
 
 
 def _scaled_chain_weights(n, p, mu):

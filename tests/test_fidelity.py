@@ -36,7 +36,7 @@ from corrqec.fidelity import (
 )
 from corrqec.pauli import SparseState
 from corrqec.recovery import RecoverySet, build_recovery
-from corrqec.schemes import scheme_correctable, scheme_recovery
+from corrqec.schemes import BASE_SCHEMES, scheme_correctable, scheme_recovery
 
 
 def channel(model, n, p, mu, flavor="bit"):
@@ -364,6 +364,27 @@ def test_recovery_members_partition_the_correctable_set():
         members = [op for rop in rs.ops for op in rop.members]
         assert len(members) == len(correctable) == len(set(correctable))
         assert set(members) == set(correctable)
+
+
+def test_kernel_is_the_weight_of_the_correctable_set():
+    # the premise of the derived polynomials, in both flavors: the fidelity
+    # is the builder's weight summed over the correctable Paulis, matched by
+    # value, so the phase flavor's Z-strings count as the bit flavor's X-strings
+    grid = (0.0, 0.1, 0.37, 0.5, 1.0)
+    for base in BASE_SCHEMES:
+        for flavor in ("bit", "phase"):
+            code, correctable = scheme_correctable(base, flavor)
+            _, rs = scheme_recovery(base, flavor)
+            kept = set(correctable)
+            flipped = [op.z_mask if flavor == "phase" else op.x_mask for op in correctable]
+            assert any(flipped) == (base != "unencoded"), (base, flavor)
+            for model in (MODEL_I, MODEL_II):
+                for p in grid:
+                    for mu in grid:
+                        ch = channel(model, code.n, p, mu, flavor)
+                        want = sum(w for w, op in ch.terms if op in kept)
+                        got = entanglement_fidelity_corrected(ch, rs)
+                        assert abs(got - want) <= 1e-14, (base, flavor, model, p, mu)
 
 
 def test_unencoded_derives_one_minus_p():
