@@ -35,11 +35,11 @@ derivation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import CapacityError, ParameterError
-from .pauli import PauliString, hadamard_conjugate
+from .pauli import Frozen, PauliString, hadamard_conjugate
 
 MODEL_I = 1
 MODEL_II = 2
@@ -56,45 +56,55 @@ def _check_unit(name: str, value: float) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """Parameters of one channel instance."""
+class ChannelParams(namedtuple("ChannelParams", "p mu n flavor model")):
+    """Parameters of one channel instance, checked when it is built."""
 
-    p: float
-    mu: float
-    n: int
-    flavor: str = FLAVOR_BIT
-    model: int = MODEL_I
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls, p: float, mu: float, n: int, flavor: str = FLAVOR_BIT, model: int = MODEL_I
+    ) -> ChannelParams:
         # stored as floats: the weight code's integer literals keep an int p an int
-        object.__setattr__(self, "p", _check_unit("p", self.p))
-        object.__setattr__(self, "mu", _check_unit("mu", self.mu))
-        if self.n < 1:
-            raise ParameterError(f"n must be >= 1, got {self.n}")
-        if self.n > MAX_CHANNEL_QUBITS:
-            raise CapacityError(
-                f"channel enumeration is 2^n; n={self.n} exceeds {MAX_CHANNEL_QUBITS}"
-            )
-        if self.flavor not in (FLAVOR_BIT, FLAVOR_PHASE):
-            raise ParameterError(f"flavor must be 'bit' or 'phase', got {self.flavor!r}")
-        if self.model not in (MODEL_I, MODEL_II):
-            raise ParameterError(f"model must be {MODEL_I} or {MODEL_II}, got {self.model}")
+        p = _check_unit("p", p)
+        mu = _check_unit("mu", mu)
+        if isinstance(n, bool) or not isinstance(n, int):
+            # a float n fails in the builders' shifts, and True is not a qubit count
+            raise ParameterError(f"n must be an integer, got {n!r}")
+        if n < 1:
+            raise ParameterError(f"n must be >= 1, got {n}")
+        if n > MAX_CHANNEL_QUBITS:
+            raise CapacityError(f"channel enumeration is 2^n; n={n} exceeds {MAX_CHANNEL_QUBITS}")
+        if flavor not in (FLAVOR_BIT, FLAVOR_PHASE):
+            raise ParameterError(f"flavor must be 'bit' or 'phase', got {flavor!r}")
+        if model not in (MODEL_I, MODEL_II):
+            raise ParameterError(f"model must be {MODEL_I} or {MODEL_II}, got {model}")
+        return tuple.__new__(cls, (p, mu, n, flavor, model))
+
+    @classmethod
+    def _make(cls, iterable) -> ChannelParams:
+        # namedtuple's own _make, which _replace calls, would skip the checks
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class NoiseChannel:
+class NoiseChannel(Frozen):
     """A Pauli channel: Kraus operators sqrt(weights[k]) * paulis[k].
 
     ``shared`` marks ``paulis`` as a builder's cached tuple, the one object
     that every channel of its (n, model, flavor) carries; the fidelity
     kernel keeps a term table on a recovery set for such a tuple only.
+    It takes no part in ``==`` or the repr.
     """
 
-    n: int
-    paulis: tuple[PauliString, ...]
-    weights: list[float]
-    shared: bool = field(default=False, compare=False, repr=False)
+    __slots__ = ("n", "paulis", "weights", "shared")
+    _fields = ("n", "paulis", "weights")
+
+    def __init__(
+        self, n: int, paulis: tuple[PauliString, ...], weights: list[float], shared: bool = False
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "paulis", paulis)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "shared", shared)
 
     @property
     def terms(self) -> tuple[tuple[float, PauliString], ...]:

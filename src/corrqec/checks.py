@@ -8,7 +8,7 @@ itself is testable; it is refused when no selected suite would read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .channels import (
     MODEL_I,
@@ -21,6 +21,7 @@ from .channels import (
 from .errors import ParameterError
 from .fidelity import (
     CLOSED_FORM_KEYS,
+    SUITE_NAMES,
     closed_form,
     dense_oracle_fidelity,
     entanglement_fidelity_corrected,
@@ -65,12 +66,7 @@ CONCAT6_WEIGHT_CENSUS = {0: 1, 1: 6, 2: 9, 4: 9, 5: 6, 6: 1}
 CONCAT6_NON_DETECTABLE_MASKS = frozenset({0b000111, 0b111000})
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    passed: bool
-    max_deviation: float
-    detail: str
+SuiteResult = namedtuple("SuiteResult", "name passed max_deviation detail")
 
 
 def closed_form_agreement(grid_steps: int, inject: str | None = None) -> SuiteResult:
@@ -299,17 +295,17 @@ def threshold_reproduction() -> SuiteResult:
     return SuiteResult("thresholds", not problems, worst, detail)
 
 
-SUITES = {
-    "closed-form": closed_form_agreement,
-    "kraus-normalization": kraus_normalization,
-    "trace-preservation": recovery_trace_preservation,
-    "sparse-dense": sparse_dense_agreement,
-    "correctable": correctable_census,
-    "flavor-symmetry": flavor_symmetry,
-    "model-mu0": model_mu0_agreement,
-    "endpoints": endpoint_identities,
-    "thresholds": threshold_reproduction,
-}
+SUITES = dict(zip(SUITE_NAMES, (
+    closed_form_agreement,
+    kraus_normalization,
+    recovery_trace_preservation,
+    sparse_dense_agreement,
+    correctable_census,
+    flavor_symmetry,
+    model_mu0_agreement,
+    endpoint_identities,
+    threshold_reproduction,
+), strict=True))
 
 
 def run_suites(

@@ -9,9 +9,8 @@ import argparse
 import sys
 
 from .channels import ChannelParams, build_channel
-from .checks import CLOSED_FORM_GRID_STEPS, SUITES, run_suites
 from .errors import CapacityError, DimensionError, ParameterError
-from .fidelity import CLOSED_FORM_KEYS
+from .fidelity import CLOSED_FORM_KEYS, SUITE_NAMES
 from .recovery import (
     alternative_maximal_sets,
     correctable_set,
@@ -83,9 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(thr)
 
     ver = sub.add_parser("verify", help="run the verification suites")
-    ver.add_argument("--suite", choices=tuple(SUITES), default=None,
+    ver.add_argument("--suite", choices=SUITE_NAMES, default=None,
                      help="run a single suite (default: all)")
-    ver.add_argument("--grid", type=positive_int, default=CLOSED_FORM_GRID_STEPS,
+    # None stands for checks.CLOSED_FORM_GRID_STEPS, read when verify runs
+    ver.add_argument("--grid", type=positive_int, default=None,
                      help="closed-form agreement grid steps per axis")
     ver.add_argument("--inject-error", choices=CLOSED_FORM_KEYS, default=None,
                      metavar="SCHEME-MODELN",
@@ -161,8 +161,12 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # imported here: no other command runs the verification suites
+    from .checks import CLOSED_FORM_GRID_STEPS, run_suites
+
     names = [args.suite] if args.suite else None
-    results = run_suites(names, grid_steps=args.grid, inject=args.inject_error)
+    grid_steps = CLOSED_FORM_GRID_STEPS if args.grid is None else args.grid
+    results = run_suites(names, grid_steps=grid_steps, inject=args.inject_error)
     failed = [r for r in results if not r.passed]
     for r in results:
         tag = "PASS" if r.passed else "FAIL"

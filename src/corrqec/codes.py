@@ -24,34 +24,35 @@ written with qubit 1 leftmost (least significant index bit).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import CapacityError, ContractViolationError, ParameterError
-from .pauli import NORM_TOL, SparseState, basis_state
+from .pauli import NORM_TOL, Frozen, SparseState, basis_state
 
 MAX_CODE_QUBITS = 20
 
 
-@dataclass(frozen=True)
-class QuantumCode:
+class QuantumCode(Frozen):
     """One logical qubit in n physical qubits, given by its two codewords."""
 
-    n: int
-    logical_zero: SparseState
-    logical_one: SparseState
-    label: str
+    __slots__ = _fields = ("n", "logical_zero", "logical_one", "label")
 
-    def __post_init__(self) -> None:
-        if self.logical_zero.n != self.n or self.logical_one.n != self.n:
+    def __init__(
+        self, n: int, logical_zero: SparseState, logical_one: SparseState, label: str
+    ) -> None:
+        if logical_zero.n != n or logical_one.n != n:
             raise ContractViolationError("codeword qubit count differs from code n")
-        for name, state in (("|0L>", self.logical_zero), ("|1L>", self.logical_one)):
+        for name, state in (("|0L>", logical_zero), ("|1L>", logical_one)):
             if abs(state.norm() - 1.0) > NORM_TOL:
-                raise ContractViolationError(f"{name} of {self.label!r} is not normalized")
-        overlap = self.logical_zero.inner(self.logical_one)
+                raise ContractViolationError(f"{name} of {label!r} is not normalized")
+        overlap = logical_zero.inner(logical_one)
         if abs(overlap) > NORM_TOL:
             raise ContractViolationError(
-                f"codewords of {self.label!r} are not orthogonal: <0L|1L> = {overlap}"
+                f"codewords of {label!r} are not orthogonal: <0L|1L> = {overlap}"
             )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "logical_zero", logical_zero)
+        object.__setattr__(self, "logical_one", logical_one)
+        object.__setattr__(self, "label", label)
 
 
 def pattern_state(pattern: str) -> SparseState:

@@ -48,7 +48,7 @@ integer arithmetic only (``roots``), so no tolerance decides a sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import groupby
 from math import prod
@@ -62,19 +62,13 @@ from .roots import sign_structure
 from .schemes import resolve_scheme, scheme_correctable, scheme_recovery
 
 
-@dataclass(frozen=True)
-class FidelityResult:
-    mu: float
-    p: float
-    scheme: str
-    model: int
-    f_numeric: float
-    f_closed_form: float | None
-    failure_prob: float
+# one evaluated point; f_closed_form is None where no polynomial is published
+FidelityResult = namedtuple(
+    "FidelityResult", "mu p scheme model f_numeric f_closed_form failure_prob"
+)
 
 
-@dataclass(frozen=True)
-class ThresholdPoint:
+class ThresholdPoint(namedtuple("ThresholdPoint", "p mu_star branch regions")):
     """Effectiveness structure of one scheme at fixed p, over mu in [0, 1].
 
     ``regions`` lists the maximal closed subintervals where the failure
@@ -84,10 +78,7 @@ class ThresholdPoint:
     'outside', or 'mixed'.
     """
 
-    p: float
-    mu_star: float | None
-    branch: str
-    regions: tuple[tuple[float, float], ...]
+    __slots__ = ()
 
 
 def entanglement_fidelity_corrected(channel: NoiseChannel, rs: RecoverySet) -> float:
@@ -234,6 +225,12 @@ _CLOSED_FORMS = {
 }
 
 CLOSED_FORM_KEYS = tuple(f"{base}-model{model}" for base, model in _CLOSED_FORMS)
+# the verification suites in run order, named here so that the CLI offers
+# them without importing ``checks``, whose SUITES maps each to its function
+SUITE_NAMES = (
+    "closed-form", "kraus-normalization", "trace-preservation", "sparse-dense",
+    "correctable", "flavor-symmetry", "model-mu0", "endpoints", "thresholds",
+)
 
 
 def _check_model(model: int) -> None:

@@ -14,13 +14,13 @@ Conventions, fixed library-wide:
   exponent of i modulo 4 (``phase``).
 
 All values are immutable after construction and every operation is a pure
-function, so they are safe to share across threads.
+function, so they are safe to share across threads.  :class:`Frozen` is the
+base of the value classes that enforce it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -49,22 +49,61 @@ def _dense_factors():
     )
 
 
-@dataclass(frozen=True)
-class PauliString:
+class Frozen:
+    """Base of the immutable value classes.
+
+    A subclass stores its fields in ``__slots__``, sets each one once, in
+    ``__init__``, through ``object.__setattr__``, and lists in ``_fields``
+    the fields that make up its value: ``==``, the hash and the repr read
+    those, in that order.  Assigning to or deleting a field raises
+    ``AttributeError``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
+        # copy and pickle restore the slots through here, not __setattr__
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class PauliString(Frozen):
     """A signed tensor product of I/X/Z/XZ factors on ``n`` qubits."""
 
-    n: int
-    x_mask: int = 0
-    z_mask: int = 0
-    phase: int = 0
+    __slots__ = _fields = ("n", "x_mask", "z_mask", "phase")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DimensionError(f"qubit count must be positive, got {self.n}")
-        full = (1 << self.n) - 1
-        if self.x_mask & ~full or self.z_mask & ~full:
+    def __init__(self, n: int, x_mask: int = 0, z_mask: int = 0, phase: int = 0) -> None:
+        if n < 1:
+            raise DimensionError(f"qubit count must be positive, got {n}")
+        full = (1 << n) - 1
+        if x_mask & ~full or z_mask & ~full:
             raise DimensionError("mask uses bits beyond the qubit count")
-        object.__setattr__(self, "phase", self.phase % 4)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "x_mask", x_mask)
+        object.__setattr__(self, "z_mask", z_mask)
+        object.__setattr__(self, "phase", phase % 4)
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":

@@ -28,15 +28,14 @@ index and attached as the projector R_perp.
 from __future__ import annotations
 
 import math
-import random
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .channels import NoiseChannel
 from .codes import QuantumCode
 from .errors import ContractViolationError, DimensionError, ParameterError
-from .pauli import PauliString, SparseState, apply_to_state, matrix_element, multiply
+from .pauli import Frozen, PauliString, SparseState, apply_to_state, matrix_element, multiply
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,17 +45,16 @@ DETECT_TOL = 1e-10
 ALTERNATIVE_TRIES = 8
 
 
-@dataclass(frozen=True)
-class RecoveryOp:
-    """Partial isometry mapping span{v0, v1} back onto the code space."""
+class RecoveryOp(namedtuple("RecoveryOp", "v0 v1 members")):
+    """Partial isometry mapping span{v0, v1} back onto the code space.
 
-    v0: SparseState
-    v1: SparseState
-    members: tuple[PauliString, ...]
+    ``members`` is the tuple of correctable Paulis it undoes.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class RecoverySet:
+class RecoverySet(Frozen):
     """Recovery operators for ``code``, plus the complement basis, if any.
 
     Every complement vector must be orthogonal to both codewords (within
@@ -76,21 +74,30 @@ class RecoverySet:
     projector; the oracle sets it on its first call for this set.
     """
 
-    code: QuantumCode
-    ops: tuple[RecoveryOp, ...]
-    complement: tuple[SparseState, ...]
-    restricted_traces: dict[tuple[int, int, int], tuple[float, ...]] = field(
-        default_factory=dict, init=False, repr=False
+    __slots__ = (
+        "code", "ops", "complement", "restricted_traces", "term_tables", "projected_rows"
     )
-    term_tables: dict[
-        int, tuple[tuple[PauliString, ...], tuple[tuple[int, float], ...]]
-    ] = field(default_factory=dict, init=False, compare=False, repr=False)
-    projected_rows: np.ndarray | None = field(default=None, init=False, repr=False)
+    _fields = ("code", "ops", "complement")
+    # by identity: the repr alone reads _fields
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        codewords = (self.code.logical_zero, self.code.logical_one)
-        if any(abs(c.inner(r)) > DETECT_TOL for r in self.complement for c in codewords):
+    restricted_traces: dict[tuple[int, int, int], tuple[float, ...]]
+    term_tables: dict[int, tuple[tuple[PauliString, ...], tuple[tuple[int, float], ...]]]
+    projected_rows: np.ndarray | None
+
+    def __init__(
+        self, code: QuantumCode, ops: tuple[RecoveryOp, ...], complement: tuple[SparseState, ...]
+    ) -> None:
+        codewords = (code.logical_zero, code.logical_one)
+        if any(abs(c.inner(r)) > DETECT_TOL for r in complement for c in codewords):
             raise ContractViolationError("complement basis overlaps the code space")
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "complement", complement)
+        object.__setattr__(self, "restricted_traces", {})
+        object.__setattr__(self, "term_tables", {})
+        object.__setattr__(self, "projected_rows", None)
 
 
 def is_detectable(code: QuantumCode, op: PauliString) -> bool:
@@ -149,6 +156,7 @@ def alternative_maximal_sets(
     Returns the distinct sets (excluding the canonical one) of equal size;
     the canonical set is never replaced.
     """
+    import random  # imported here: only this diagnostic shuffles
     canonical = tuple(correctable_set(code, channel))
     candidates = _sorted_candidates(channel)
     by_weight: dict[int, list[PauliString]] = {}

@@ -7,8 +7,7 @@ invocations produce byte-identical output.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParameterError
 from .fidelity import FidelityResult, ThresholdPoint, evaluate, threshold_mu
@@ -125,6 +124,7 @@ def _json_number(x: float | None) -> str:
 def render_fidelity_json(results: list[FidelityResult]) -> str:
     """``json.dumps(rows, indent=2)`` of one dict per row, byte for byte, from a
     fixed template: a float is the repr of its 12-digit value, None is null."""
+    import json
     rows = []
     for r in results:
         diff = None if r.f_closed_form is None else abs(r.f_numeric - r.f_closed_form)
@@ -157,11 +157,8 @@ def render_fidelity(results: list[FidelityResult], output_format: str) -> str:
     return render_fidelity_csv(results)
 
 
-@dataclass(frozen=True)
-class ThresholdRow:
-    model: int
-    scheme: str
-    point: ThresholdPoint
+# one threshold table row: a ThresholdPoint of a scheme under a model
+ThresholdRow = namedtuple("ThresholdRow", "model scheme point")
 
 
 def run_threshold(
@@ -199,6 +196,7 @@ def render_threshold_csv(rows: list[ThresholdRow]) -> str:
 
 
 def render_threshold_json(rows: list[ThresholdRow]) -> str:
+    import json
     payload = []
     for row in rows:
         pt = row.point

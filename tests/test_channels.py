@@ -204,6 +204,23 @@ def test_param_validation():
         ChannelParams(p=0.1, mu=0.0, n=2, model=3)
 
 
+@pytest.mark.parametrize("n", [2.0, True, False, "2", None])
+def test_param_validation_refuses_a_qubit_count_that_is_not_an_int(n):
+    # 2.0 used to fail later, in the builders' shifts, and True built one qubit
+    with pytest.raises(ParameterError, match=r"^n must be an integer, got "):
+        ChannelParams(p=0.1, mu=0.0, n=n)
+    with pytest.raises(ParameterError, match=r"^n must be an integer, got "):
+        ChannelParams(p=0.1, mu=0.0, n=2)._replace(n=n)
+
+
+def test_replaced_params_are_checked_and_stored_as_floats():
+    given = ChannelParams(p=0.1, mu=0.0, n=2)._replace(p=1, model=MODEL_II)
+    assert given == ChannelParams(1.0, 0.0, 2, "bit", MODEL_II)
+    assert type(given.p) is float
+    with pytest.raises(ParameterError):
+        given._replace(mu=1.5)
+
+
 def test_builders_check_model_field():
     with pytest.raises(ParameterError):
         model1_channel(params(0.1, 0.5, 2, model=MODEL_II))

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,7 @@ from corrqec.checks import closed_form_agreement, flavor_symmetry
 from corrqec.codes import concatenate, dfs2, phaseflip3
 from corrqec.cli import main
 from corrqec.errors import CapacityError, DimensionError, ParameterError
-from corrqec.fidelity import evaluate, threshold_mu
+from corrqec.fidelity import SUITE_NAMES, evaluate, threshold_mu
 from corrqec.recovery import build_recovery, correctable_set
 from corrqec.sweep import (
     CSV_HEADER,
@@ -212,6 +214,8 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "[PASS] closed-form" in out
     assert "all 9 suite(s) passed" in out
+    # each suite reports under the name that --suite offers for it
+    assert [line.split()[1] for line in out.splitlines()[:-1]] == list(SUITE_NAMES)
 
 
 def test_verify_injected_error_names_case(capsys):
@@ -344,6 +348,21 @@ def test_fidelity_threshold_and_correctable_do_not_load_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("[PASS] sparse-dense")
+
+
+def test_importing_the_cli_loads_neither_checks_nor_json():
+    # verify imports the suites, and JSON output json, when they run
+    src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import sys, corrqec.cli; "
+        "print(sorted({'corrqec.checks', 'json'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("grid", ["0", "-3"])
