@@ -56,6 +56,12 @@ def _check_unit(name: str, value: float) -> float:
     return float(value)
 
 
+def _check_model(model: int) -> None:
+    # True == 1 and 2.0 == 2, but neither is a model number
+    if isinstance(model, bool) or not isinstance(model, int) or model not in (MODEL_I, MODEL_II):
+        raise ParameterError(f"model must be {MODEL_I} or {MODEL_II}, got {model!r}")
+
+
 class ChannelParams(namedtuple("ChannelParams", "p mu n flavor model")):
     """Parameters of one channel instance, checked when it is built."""
 
@@ -76,8 +82,7 @@ class ChannelParams(namedtuple("ChannelParams", "p mu n flavor model")):
             raise CapacityError(f"channel enumeration is 2^n; n={n} exceeds {MAX_CHANNEL_QUBITS}")
         if flavor not in (FLAVOR_BIT, FLAVOR_PHASE):
             raise ParameterError(f"flavor must be 'bit' or 'phase', got {flavor!r}")
-        if model not in (MODEL_I, MODEL_II):
-            raise ParameterError(f"model must be {MODEL_I} or {MODEL_II}, got {model}")
+        _check_model(model)
         return tuple.__new__(cls, (p, mu, n, flavor, model))
 
     @classmethod

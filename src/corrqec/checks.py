@@ -28,11 +28,7 @@ from .fidelity import (
     evaluate,
     threshold_mu,
 )
-from .recovery import (
-    correctable_set,
-    non_detectable_set,
-    trace_preservation_deviation,
-)
+from .recovery import non_detectable_set, trace_preservation_deviation
 from .schemes import BASE_SCHEMES, scheme_recovery
 from .sweep import MAX_RANGE_STEPS, linspace
 
@@ -149,7 +145,11 @@ def sparse_dense_agreement() -> SuiteResult:
 
 
 def correctable_census() -> SuiteResult:
-    """Correctable/detectable structure for all three schemes, exact masks."""
+    """Correctable/detectable structure for all three schemes, exact masks.
+
+    The correctable set is the one the fidelity kernel uses: the members of
+    the cached recovery's operators.
+    """
     problems = []
 
     def masks(ops) -> frozenset[int]:
@@ -170,7 +170,7 @@ def correctable_census() -> SuiteResult:
     for base, expected, expected_nondet in cases:
         code, rs = scheme_recovery(base, "bit")
         channel = model1_channel(ChannelParams(p=0.5, mu=0.5, n=code.n, model=MODEL_I))
-        corr = correctable_set(code, channel)
+        corr = [op for rop in rs.ops for op in rop.members]
         nondet = non_detectable_set(code, channel)
         if masks(corr) != expected:
             problems.append(f"{base}: correctable masks differ")

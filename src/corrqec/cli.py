@@ -11,12 +11,7 @@ import sys
 from .channels import ChannelParams, build_channel
 from .errors import CapacityError, DimensionError, ParameterError
 from .fidelity import CLOSED_FORM_KEYS, SUITE_NAMES
-from .recovery import (
-    alternative_maximal_sets,
-    correctable_set,
-    detectable_set,
-    non_detectable_set,
-)
+from .recovery import alternative_maximal_sets, non_detectable_set
 from .schemes import resolve_scheme, scheme_recovery
 from .sweep import (
     OUTPUT_FORMATS,
@@ -53,13 +48,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, schemes: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--model", type=int, choices=(1, 2), required=True,
                        help="noise model: 1 (Markov chain) or 2 (convex combination)")
-        if schemes:
-            p.add_argument("--scheme", required=True,
-                           help="comma-separated scheme list (bit3, dfs2, concat6, unencoded; "
-                                "aliases phase3, dfs2-phase, concat6-phase)")
+        p.add_argument("--scheme", required=True,
+                       help="comma-separated scheme list (bit3, dfs2, concat6, unencoded; "
+                            "aliases phase3, dfs2-phase, concat6-phase)")
         p.add_argument("--flavor", choices=("bit", "phase"), default=None,
                        help="error flavor (default bit)")
 
@@ -181,11 +175,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_correctable(args: argparse.Namespace) -> int:
     base, flavor = resolve_scheme(args.scheme, args.flavor)
     code, rs = scheme_recovery(base, flavor)
+    # both models merge to the same 2^n Paulis, the support the recovery was derived on
     channel = build_channel(
         ChannelParams(p=0.5, mu=0.5, n=code.n, flavor=flavor, model=args.model)
-    )
-    corr = correctable_set(code, channel)
-    det = detectable_set(code, channel)
+    ).merged()
+    corr = [op for rop in rs.ops for op in rop.members]
     nondet = non_detectable_set(code, channel)
     alternatives = alternative_maximal_sets(code, channel)
 
@@ -193,12 +187,12 @@ def _cmd_correctable(args: argparse.Namespace) -> int:
     for op in corr:
         by_weight.setdefault(op.weight, []).append(op.label())
     print(f"scheme {args.scheme} ({flavor} flavor, model {args.model}): "
-          f"{code.n} qubits, {len(channel.merged().terms)} channel operators")
+          f"{code.n} qubits, {len(channel.paulis)} channel operators")
     print(f"correctable set: {len(corr)} operators, weight census "
           f"{{{', '.join(f'{w}: {len(ops)}' for w, ops in sorted(by_weight.items()))}}}")
     for w, labels in sorted(by_weight.items()):
         print(f"  weight {w} ({len(labels)}): {' '.join(sorted(labels))}")
-    print(f"detectable set: {len(det)} operators")
+    print(f"detectable set: {len(channel.paulis) - len(nondet)} operators")
     print(f"non-detectable ({len(nondet)}): {' '.join(op.label() for op in nondet)}")
     print(f"recovery operators: {len(rs.ops)}"
           + (f" + complement of dimension {len(rs.complement)}" if rs.complement else ""))

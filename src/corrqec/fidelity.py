@@ -54,12 +54,13 @@ from itertools import groupby
 from math import prod
 
 from .channels import MODEL_I, MODEL_II, ChannelParams, NoiseChannel, build_channel
-from .channels import _chain_weights, _flavored_strings, _model2_strings, _model2_weights
+from .channels import _chain_weights, _check_model, _flavored_strings
+from .channels import _model2_strings, _model2_weights
 from .errors import CapacityError, DimensionError, ParameterError
 from .pauli import PauliString, apply_to_state
 from .recovery import RecoverySet, recovery_dense
 from .roots import sign_structure
-from .schemes import resolve_scheme, scheme_correctable, scheme_recovery
+from .schemes import resolve_scheme, scheme_recovery
 
 
 # one evaluated point; f_closed_form is None where no polynomial is published
@@ -233,11 +234,6 @@ SUITE_NAMES = (
 )
 
 
-def _check_model(model: int) -> None:
-    if model not in (MODEL_I, MODEL_II):
-        raise ParameterError(f"model must be {MODEL_I} or {MODEL_II}, got {model}")
-
-
 def closed_form(scheme: str, model: int, mu: float, p: float) -> float | None:
     """Published fidelity polynomial for (scheme, model) at (mu, p); None if unpublished."""
     base, _ = resolve_scheme(scheme)
@@ -284,6 +280,8 @@ def threshold_mu(scheme: str, model: int, p: float) -> ThresholdPoint:
     if not 0.0 < p < 1.0:
         raise ParameterError(f"p must lie strictly inside (0, 1), got {p}")
     base, _ = resolve_scheme(scheme)
+    # before the cache: True and 2.0 would hit the entries of 1 and 2
+    _check_model(model)
     g = _excess_at(_fidelity_polynomial("unencoded", model), _fidelity_polynomial(base, model), p)
     if not g:
         # the same fidelity as the bare qubit for every mu: never strictly better
@@ -367,14 +365,13 @@ def _fidelity_polynomial(base: str, model: int) -> tuple[tuple[int, ...], ...]:
     F is the total channel weight of the error strings the recovery undoes:
     the correctable set, which the recovery operators' members partition.
     """
-    _check_model(model)
-    code, correctable = scheme_correctable(base, "bit")
+    code, rs = scheme_recovery(base, "bit")
     n, p, mu = code.n, _Poly({(0, 1): 1}), _Poly({(1, 0): 1})
     if model == MODEL_I:
         paulis, weights = _flavored_strings(n, "bit"), _chain_weights(n, p, mu)
     else:
         paulis, weights = _model2_strings(n, "bit"), _model2_weights(n, p, mu)
-    kept = set(correctable)
+    kept = {op for rop in rs.ops for op in rop.members}
     total = sum(w for w, op in zip(weights, paulis) if op in kept)
     terms = {key: c for key, c in total.items() if c}
     rows = [[0] * (1 + max(j for _, j in terms)) for _ in range(1 + max(i for i, _ in terms))]

@@ -22,12 +22,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .errors import ContractViolationError, DimensionError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 PRUNE_TOL = 1e-14
 NORM_TOL = 1e-12

@@ -30,15 +30,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
-from typing import TYPE_CHECKING
 
 from .channels import NoiseChannel
 from .codes import QuantumCode
 from .errors import ContractViolationError, DimensionError, ParameterError
 from .pauli import Frozen, PauliString, SparseState, apply_to_state, matrix_element, multiply
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DETECT_TOL = 1e-10
 # seeded reorderings of each kind tried by alternative_maximal_sets
@@ -157,8 +153,8 @@ def alternative_maximal_sets(
     the canonical set is never replaced.
     """
     import random  # imported here: only this diagnostic shuffles
-    canonical = tuple(correctable_set(code, channel))
     candidates = _sorted_candidates(channel)
+    canonical = tuple(_greedy(code, candidates))
     by_weight: dict[int, list[PauliString]] = {}
     for op in candidates:
         by_weight.setdefault(op.weight, []).append(op)

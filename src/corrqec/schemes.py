@@ -12,8 +12,8 @@ code space is the whole qubit, its correctable set the identity alone, and
 its recovery one isometry with no complement.
 
 The correctable set, and hence the recovery structure, depends only on the
-code and the channel's operator support, never on (p, mu); correctable
-sets and recovery sets are therefore cached per (scheme, flavor).
+code and the channel's operator support, never on (p, mu); both are
+derived once per (scheme, flavor), in ``scheme_recovery``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import codes
 from .channels import FLAVOR_BIT, FLAVOR_PHASE, MODEL_I, ChannelParams, model1_channel
 from .codes import QuantumCode
 from .errors import ParameterError
-from .pauli import PauliString, basis_state
+from .pauli import basis_state
 from .recovery import RecoverySet, build_recovery, correctable_set
 
 BASE_SCHEMES = ("bit3", "dfs2", "concat6", "unencoded")
@@ -77,20 +77,15 @@ def build_code(base: str, flavor: str) -> QuantumCode:
 
 
 @lru_cache(maxsize=None)
-def scheme_correctable(base: str, flavor: str) -> tuple[QuantumCode, tuple[PauliString, ...]]:
-    """Code plus the correctable error set of a scheme (cached).
+def scheme_recovery(base: str, flavor: str) -> tuple[QuantumCode, RecoverySet]:
+    """Code plus synthesized recovery for a scheme (cached).
 
     The channel used for the derivation only supplies the operator support,
     which is the full set of X-strings (Z-strings) on n qubits for both
-    models at any parameter point.
+    models at any parameter point.  The recovery operators' ``members``
+    partition the correctable set, so every reader of the set takes it from
+    here.
     """
     code = build_code(base, flavor)
     params = ChannelParams(p=0.5, mu=0.5, n=code.n, flavor=flavor, model=MODEL_I)
-    return code, tuple(correctable_set(code, model1_channel(params)))
-
-
-@lru_cache(maxsize=None)
-def scheme_recovery(base: str, flavor: str) -> tuple[QuantumCode, RecoverySet]:
-    """Code plus synthesized recovery for a scheme (cached)."""
-    code, correctable = scheme_correctable(base, flavor)
-    return code, build_recovery(code, list(correctable))
+    return code, build_recovery(code, correctable_set(code, model1_channel(params)))

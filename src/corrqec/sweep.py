@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import ParameterError
-from .fidelity import FidelityResult, ThresholdPoint, evaluate, threshold_mu
+from .fidelity import FidelityResult, evaluate, threshold_mu
 
 CSV_HEADER = "model,scheme,mu,p,fidelity_numeric,fidelity_closed_form,abs_diff,failure_prob"
 THRESHOLD_CSV_HEADER = "model,scheme,p,mu_star,branch,regions"
@@ -98,19 +98,20 @@ def run_sweep(
 
 def render_fidelity_csv(results: list[FidelityResult]) -> str:
     lines = [CSV_HEADER]
-    for r in results:
-        diff = None if r.f_closed_form is None else abs(r.f_numeric - r.f_closed_form)
+    # rows are unpacked: a namedtuple field read costs more than a local
+    for mu, p, scheme, model, f, f_closed, failure in results:
+        diff = None if f_closed is None else abs(f - f_closed)
         lines.append(
             ",".join(
                 (
-                    str(r.model),
-                    r.scheme,
-                    fmt_float(r.mu),
-                    fmt_float(r.p),
-                    fmt_float(r.f_numeric),
-                    _fmt_optional(r.f_closed_form),
+                    str(model),
+                    scheme,
+                    fmt_float(mu),
+                    fmt_float(p),
+                    fmt_float(f),
+                    _fmt_optional(f_closed),
                     _fmt_optional(diff),
-                    fmt_float(r.failure_prob),
+                    fmt_float(failure),
                 )
             )
         )
@@ -126,18 +127,18 @@ def render_fidelity_json(results: list[FidelityResult]) -> str:
     fixed template: a float is the repr of its 12-digit value, None is null."""
     import json
     rows = []
-    for r in results:
-        diff = None if r.f_closed_form is None else abs(r.f_numeric - r.f_closed_form)
+    for mu, p, scheme, model, f, f_closed, failure in results:
+        diff = None if f_closed is None else abs(f - f_closed)
         rows.append(
             "\n  {\n"
-            f'    "model": {r.model},\n'
-            f'    "scheme": {json.dumps(r.scheme)},\n'
-            f'    "mu": {_json_number(r.mu)},\n'
-            f'    "p": {_json_number(r.p)},\n'
-            f'    "fidelity_numeric": {_json_number(r.f_numeric)},\n'
-            f'    "fidelity_closed_form": {_json_number(r.f_closed_form)},\n'
+            f'    "model": {model},\n'
+            f'    "scheme": {json.dumps(scheme)},\n'
+            f'    "mu": {_json_number(mu)},\n'
+            f'    "p": {_json_number(p)},\n'
+            f'    "fidelity_numeric": {_json_number(f)},\n'
+            f'    "fidelity_closed_form": {_json_number(f_closed)},\n'
             f'    "abs_diff": {_json_number(diff)},\n'
-            f'    "failure_prob": {_json_number(r.failure_prob)}\n'
+            f'    "failure_prob": {_json_number(failure)}\n'
             "  }"
         )
     return "[" + ",".join(rows) + ("\n]\n" if rows else "]\n")
@@ -172,23 +173,18 @@ def run_threshold(
     ]
 
 
-def _regions_text(point: ThresholdPoint) -> str:
-    return ";".join(f"{fmt_float(lo)}:{fmt_float(hi)}" for lo, hi in point.regions)
-
-
 def render_threshold_csv(rows: list[ThresholdRow]) -> str:
     lines = [THRESHOLD_CSV_HEADER]
-    for row in rows:
-        pt = row.point
+    for model, scheme, (p, mu_star, branch, regions) in rows:
         lines.append(
             ",".join(
                 (
-                    str(row.model),
-                    row.scheme,
-                    fmt_float(pt.p),
-                    _fmt_optional(pt.mu_star),
-                    pt.branch,
-                    _regions_text(pt),
+                    str(model),
+                    scheme,
+                    fmt_float(p),
+                    _fmt_optional(mu_star),
+                    branch,
+                    ";".join(f"{fmt_float(lo)}:{fmt_float(hi)}" for lo, hi in regions),
                 )
             )
         )
@@ -198,16 +194,15 @@ def render_threshold_csv(rows: list[ThresholdRow]) -> str:
 def render_threshold_json(rows: list[ThresholdRow]) -> str:
     import json
     payload = []
-    for row in rows:
-        pt = row.point
+    for model, scheme, (p, mu_star, branch, regions) in rows:
         payload.append(
             {
-                "model": row.model,
-                "scheme": row.scheme,
-                "p": _json_float(pt.p),
-                "mu_star": _json_float(pt.mu_star),
-                "branch": pt.branch,
-                "regions": [[_json_float(lo), _json_float(hi)] for lo, hi in pt.regions],
+                "model": model,
+                "scheme": scheme,
+                "p": _json_float(p),
+                "mu_star": _json_float(mu_star),
+                "branch": branch,
+                "regions": [[_json_float(lo), _json_float(hi)] for lo, hi in regions],
             }
         )
     return json.dumps(payload, indent=2) + "\n"

@@ -123,3 +123,12 @@ def test_probe_reads_the_recovery_set():
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["recovery_ops"] == ops, pair
+
+
+def test_benchmark_selftest_passes():
+    # a moved canonical digest or a broken traced count fails here, not in a run
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

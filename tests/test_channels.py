@@ -213,6 +213,15 @@ def test_param_validation_refuses_a_qubit_count_that_is_not_an_int(n):
         ChannelParams(p=0.1, mu=0.0, n=2)._replace(n=n)
 
 
+@pytest.mark.parametrize("model", [True, False, 1.0, 2.0, "1", None, 3])
+def test_param_validation_refuses_a_model_that_is_not_1_or_2(model):
+    # True == 1 and 2.0 == 2 used to pass and be printed as the table's model
+    with pytest.raises(ParameterError, match=r"^model must be 1 or 2, got "):
+        ChannelParams(p=0.1, mu=0.0, n=2, model=model)
+    with pytest.raises(ParameterError, match=r"^model must be 1 or 2, got "):
+        ChannelParams(p=0.1, mu=0.0, n=2)._replace(model=model)
+
+
 def test_replaced_params_are_checked_and_stored_as_floats():
     given = ChannelParams(p=0.1, mu=0.0, n=2)._replace(p=1, model=MODEL_II)
     assert given == ChannelParams(1.0, 0.0, 2, "bit", MODEL_II)

@@ -280,6 +280,73 @@ def test_correctable_listing(capsys):
     assert "complement of dimension 2" in out
 
 
+@pytest.mark.parametrize(
+    "scheme", ["bit3", "dfs2", "concat6", "unencoded", "phase3", "dfs2-phase", "concat6-phase"]
+)
+def test_correctable_listing_is_the_same_under_both_models(capsys, scheme):
+    # model 2 merges to the same 2^n Paulis as model 1, the support of the recovery
+    code, one, _ = run_cli(capsys, "correctable", "--scheme", scheme, "--model", "1")
+    assert code == 0
+    code, two, _ = run_cli(capsys, "correctable", "--scheme", scheme, "--model", "2")
+    assert code == 0
+    head_one, rest_one = one.split("\n", 1)
+    head_two, rest_two = two.split("\n", 1)
+    assert head_one.replace(", model 1)", ", model 2)") == head_two != head_one
+    assert rest_one == rest_two
+
+
+def test_correctable_suite_fails_on_a_recovery_missing_an_operator(capsys, monkeypatch):
+    # the suite checks the set the fidelity kernel uses: the recovery's members
+    code, rs = checks.scheme_recovery("concat6", "bit")
+    members = [op for rop in rs.ops for op in rop.members]
+    short_rs = build_recovery(code, [op for op in members if op.x_mask != 0b111111])
+    real = checks.scheme_recovery
+
+    def patched(base, flavor):
+        if (base, flavor) == ("concat6", "bit"):
+            return code, short_rs
+        return real(base, flavor)
+
+    monkeypatch.setattr(checks, "scheme_recovery", patched)
+    result = checks.correctable_census()
+    assert not result.passed
+    assert "concat6: correctable masks differ" in result.detail
+    assert "concat6: 31 correctable operators, expected 32" in result.detail
+    code, out, _ = run_cli(capsys, "verify", "--suite", "correctable")
+    assert code == 1
+    assert out.startswith("[FAIL] correctable")
+    assert out.endswith("1 suite(s) failed: correctable\n")
+
+
+GREEDY_COUNT_SCRIPT = """
+import contextlib, io
+from corrqec import cli, recovery
+calls = []
+greedy = recovery._greedy
+def counting(code, candidates):
+    calls.append(code)
+    return greedy(code, candidates)
+recovery._greedy = counting
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["threshold", "--model", "1", "--scheme", "dfs2,bit3,concat6,unencoded",
+                     "--p", "0.1"]) == 0
+    assert cli.main(["verify", "--suite", "correctable"]) == 0
+print(len(calls))
+"""
+
+
+def test_each_correctable_set_is_derived_once_per_process():
+    # threshold derives the four bit-flavor sets; the correctable suite reads
+    # three of them back from the cached recoveries instead of deriving them again
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", GREEDY_COUNT_SCRIPT],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "4\n"
+
+
 def test_correctable_phase_flavor(capsys):
     code, out, _ = run_cli(capsys, "correctable", "--scheme", "phase3")
     assert code == 0

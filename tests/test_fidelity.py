@@ -35,12 +35,18 @@ from corrqec.fidelity import (
     threshold_mu,
 )
 from corrqec.pauli import SparseState
-from corrqec.recovery import RecoverySet, build_recovery
-from corrqec.schemes import BASE_SCHEMES, scheme_correctable, scheme_recovery
+from corrqec.recovery import RecoverySet, build_recovery, correctable_set
+from corrqec.schemes import BASE_SCHEMES, scheme_recovery
 
 
 def channel(model, n, p, mu, flavor="bit"):
     return build_channel(ChannelParams(p=p, mu=mu, n=n, flavor=flavor, model=model))
+
+
+def correctable_members(base, flavor="bit"):
+    """Code plus the correctable set, read from the cached recovery's operators."""
+    code, rs = scheme_recovery(base, flavor)
+    return code, [op for rop in rs.ops for op in rop.members]
 
 
 def test_bit3_memoryless_point():
@@ -85,6 +91,22 @@ def test_closed_form_bit3_collapses_at_full_memory():
 
 def test_closed_form_dfs_value():
     assert abs(closed_form("dfs2", MODEL_I, 0.5, 0.1) - 0.91) < 1e-12
+
+
+@pytest.mark.parametrize("model", [True, 2.0])
+def test_a_model_that_is_not_an_int_is_refused(model):
+    # each equals a model number, so the cached derivations would answer
+    # for it if it reached them unchecked
+    for m in (MODEL_I, MODEL_II):
+        threshold_mu("bit3", m, 0.1)
+    calls = (
+        lambda: closed_form("bit3", model, 0.5, 0.1),
+        lambda: evaluate("bit3", model, 0.5, 0.1),
+        lambda: threshold_mu("bit3", model, 0.1),
+    )
+    for call in calls:
+        with pytest.raises(ParameterError, match=f"^model must be 1 or 2, got {model!r}$"):
+            call()
 
 
 def test_closed_form_model_agreement_for_dfs():
@@ -186,13 +208,13 @@ def test_dense_oracle_builds_rows_once_per_recovery_set(monkeypatch):
         return original(rs_arg)
 
     monkeypatch.setattr(fidelity, "recovery_dense", counting)
-    code, correctable = scheme_correctable("concat6", "bit")
-    first = build_recovery(code, list(correctable))
+    code, correctable = correctable_members("concat6")
+    first = build_recovery(code, correctable)
     for p, mu in ((0.1, 0.0), (0.3, 0.7), (0.9, 1.0)):
         for model in (MODEL_I, MODEL_II):
             dense_oracle_fidelity(channel(model, 6, p, mu), first)
     assert len(builds) == 1 and builds[0] is first
-    second = build_recovery(code, list(correctable))
+    second = build_recovery(code, correctable)
     assert second.projected_rows is None
     dense_oracle_fidelity(channel(MODEL_I, 6, 0.2, 0.4), second)
     assert len(builds) == 2 and builds[1] is second
@@ -359,9 +381,8 @@ def test_recovery_members_partition_the_correctable_set():
     # the derivation sums the weights of the correctable set, which are the
     # error strings the recovery operators map back
     for base in ("bit3", "dfs2", "concat6"):
-        _, correctable = scheme_correctable(base, "bit")
-        _, rs = scheme_recovery(base, "bit")
-        members = [op for rop in rs.ops for op in rop.members]
+        code, members = correctable_members(base)
+        correctable = correctable_set(code, channel(MODEL_I, code.n, 0.5, 0.5))
         assert len(members) == len(correctable) == len(set(correctable))
         assert set(members) == set(correctable)
 
@@ -373,7 +394,7 @@ def test_kernel_is_the_weight_of_the_correctable_set():
     grid = (0.0, 0.1, 0.37, 0.5, 1.0)
     for base in BASE_SCHEMES:
         for flavor in ("bit", "phase"):
-            code, correctable = scheme_correctable(base, flavor)
+            code, correctable = correctable_members(base, flavor)
             _, rs = scheme_recovery(base, flavor)
             kept = set(correctable)
             flipped = [op.z_mask if flavor == "phase" else op.x_mask for op in correctable]
@@ -553,8 +574,8 @@ def test_corrupted_complement_still_raises():
 
 
 def test_kernel_takes_two_inner_products_per_isometry(monkeypatch):
-    code, correctable = scheme_correctable("concat6", "bit")
-    rs = build_recovery(code, list(correctable))
+    code, correctable = correctable_members("concat6")
+    rs = build_recovery(code, correctable)
     calls = []
     original = SparseState.inner
 
@@ -581,8 +602,8 @@ def test_kernel_takes_two_inner_products_per_isometry(monkeypatch):
 def test_term_table_holds_only_the_nonzero_squares(scheme, sizes):
     # bit flavor: every Pauli has at most one nonzero square, so a table
     # lists the correctable terms, and model II's repeated identity and full flip
-    code, correctable = scheme_correctable(scheme, "bit")
-    rs = build_recovery(code, list(correctable))
+    code, correctable = correctable_members(scheme)
+    rs = build_recovery(code, correctable)
     for model, (pairs, terms) in zip((MODEL_I, MODEL_II), sizes):
         ch = channel(model, code.n, 0.2, 0.5)
         entanglement_fidelity_corrected(ch, rs)

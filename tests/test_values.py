@@ -155,15 +155,22 @@ def test_reprs_are_the_field_lists():
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
-    # -S: no site hook can have loaded either module first
+    # -S: no site hook can have loaded either module first; a fidelity
+    # request then runs without typing, whose annotations are strings here
     src = Path(corrqec.__file__).resolve().parents[1]
     script = (
         "import sys, corrqec; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
+        "import corrqec.cli; "
+        "corrqec.cli.main(['fidelity', '--model', '1', '--scheme', 'concat6', "
+        "'--p', '0.1', '--mu', '0.5']); "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[]"
+    assert lines[2].startswith("1,concat6,0.5,0.1,")
