@@ -297,14 +297,14 @@ def test_correctable_listing_is_the_same_under_both_models(capsys, scheme):
 
 def test_correctable_suite_fails_on_a_recovery_missing_an_operator(capsys, monkeypatch):
     # the suite checks the set the fidelity kernel uses: the recovery's members
-    code, rs = checks.scheme_recovery("concat6", "bit")
+    concat, rs = checks.scheme_recovery("concat6", "bit")
     members = [op for rop in rs.ops for op in rop.members]
-    short_rs = build_recovery(code, [op for op in members if op.x_mask != 0b111111])
+    short_rs = build_recovery(concat, [op for op in members if op.x_mask != 0b111111])
     real = checks.scheme_recovery
 
     def patched(base, flavor):
         if (base, flavor) == ("concat6", "bit"):
-            return code, short_rs
+            return concat, short_rs
         return real(base, flavor)
 
     monkeypatch.setattr(checks, "scheme_recovery", patched)

@@ -394,8 +394,8 @@ def test_kernel_is_the_weight_of_the_correctable_set():
     grid = (0.0, 0.1, 0.37, 0.5, 1.0)
     for base in BASE_SCHEMES:
         for flavor in ("bit", "phase"):
-            code, correctable = correctable_members(base, flavor)
-            _, rs = scheme_recovery(base, flavor)
+            code, rs = scheme_recovery(base, flavor)
+            correctable = [op for rop in rs.ops for op in rop.members]
             kept = set(correctable)
             flipped = [op.z_mask if flavor == "phase" else op.x_mask for op in correctable]
             assert any(flipped) == (base != "unencoded"), (base, flavor)
