@@ -45,6 +45,25 @@ def _dense_factors():
     )
 
 
+# bounded: a 3-qubit block has 4**3 masks x 4 phases, 256 blocks of 8 x 8
+@lru_cache(maxsize=256)
+def _dense_block(k: int, x_mask: int, z_mask: int, phase: int) -> np.ndarray:
+    """Read-only i**phase * F_k (x) ... (x) F_1 on a block of k <= 3 qubits.
+
+    Built from the block's first qubit outwards as m <- F_q (x) m, with m the
+    contiguous inner block.
+    """
+    import numpy as np
+    factors = _dense_factors()
+    m = np.array([[_UNITS[phase]]])
+    for q in range(k):
+        f = factors[((x_mask >> q) & 1) + 2 * ((z_mask >> q) & 1)]
+        r = m.shape[0]
+        m = (f[:, None, :, None] * m[None, :, None, :]).reshape(2 * r, 2 * r)
+    m.flags.writeable = False
+    return m
+
+
 class Frozen:
     """Base of the immutable value classes.
 
@@ -136,15 +155,18 @@ class PauliString(Frozen):
         """2^n x 2^n matrix; qubit 1 is the least significant index bit.
 
         The Kronecker product sign * F_n (x) ... (x) F_1, built from qubit 1
-        outwards as m <- F_q (x) m, with m the contiguous inner block.
+        outwards as m <- B (x) m, one step per cached block B of up to three
+        qubits (``_dense_block``), with the sign folded into the first block.
+        The result is a fresh, writeable array, never a cached block.
         """
-        import numpy as np
-        factors = _dense_factors()
-        m = np.array([[self.sign]])
-        for q in range(self.n):
-            f = factors[((self.x_mask >> q) & 1) + 2 * ((self.z_mask >> q) & 1)]
-            r = m.shape[0]
-            m = (f[:, None, :, None] * m[None, :, None, :]).reshape(2 * r, 2 * r)
+        n, x, z = self.n, self.x_mask, self.z_mask
+        m = _dense_block(min(n, 3), x & 7, z & 7, self.phase)
+        if n <= 3:
+            return m.copy()
+        for q in range(3, n, 3):
+            b = _dense_block(min(n - q, 3), (x >> q) & 7, (z >> q) & 7, 0)
+            r = m.shape[0] * b.shape[0]
+            m = (b[:, None, :, None] * m[None, :, None, :]).reshape(r, r)
         return m
 
     def label(self) -> str:

@@ -122,12 +122,30 @@ def non_detectable_set(code: QuantumCode, channel: NoiseChannel) -> list[PauliSt
     return [op for op in _sorted_candidates(channel) if not is_detectable(code, op)]
 
 
-def _greedy(code: QuantumCode, candidates: list[PauliString]) -> list[PauliString]:
+def _greedy(
+    code: QuantumCode,
+    candidates: list[PauliString],
+    known: dict[tuple[int, int], bool] | None = None,
+) -> list[PauliString]:
+    """Accept each candidate whose products with those accepted are detectable.
+
+    ``known`` memoizes detectability by the product's ``(x_mask, z_mask)``,
+    since a global phase cannot change it; runs on the same code may share it.
+    """
+    if known is None:
+        known = {}
+
+    def detectable(a: PauliString, b: PauliString) -> bool:
+        """Is a^dag b detectable?  Forms the product only on a memo miss."""
+        key = (a.x_mask ^ b.x_mask, a.z_mask ^ b.z_mask)
+        if key not in known:
+            known[key] = is_detectable(code, multiply(a.dagger(), b))
+        return known[key]
+
+    identity = PauliString.identity(code.n)
     accepted: list[PauliString] = []
     for cand in candidates:
-        if all(
-            is_detectable(code, multiply(prev.dagger(), cand)) for prev in accepted
-        ) and is_detectable(code, cand):
+        if all(detectable(prev, cand) for prev in accepted) and detectable(identity, cand):
             accepted.append(cand)
     return accepted
 
@@ -150,11 +168,13 @@ def alternative_maximal_sets(
     with seeded shuffles inside each weight class, and with fully shuffled
     candidate lists (which can swap representatives across weight classes).
     Returns the distinct sets (excluding the canonical one) of equal size;
-    the canonical set is never replaced.
+    the canonical set is never replaced.  All runs share one detectability
+    memo, so each distinct product is checked once.
     """
     import random  # imported here: only this diagnostic shuffles
     candidates = _sorted_candidates(channel)
-    canonical = tuple(_greedy(code, candidates))
+    known: dict[tuple[int, int], bool] = {}
+    canonical = tuple(_greedy(code, candidates, known))
     by_weight: dict[int, list[PauliString]] = {}
     for op in candidates:
         by_weight.setdefault(op.weight, []).append(op)
@@ -179,7 +199,7 @@ def alternative_maximal_sets(
     canonical_key = frozenset((op.x_mask, op.z_mask, op.phase) for op in canonical)
     found: dict[frozenset, tuple[PauliString, ...]] = {}
     for candidates in orderings:
-        result = tuple(_greedy(code, candidates))
+        result = tuple(_greedy(code, candidates, known))
         if len(result) != len(canonical):
             continue
         key = frozenset((op.x_mask, op.z_mask, op.phase) for op in result)

@@ -8,6 +8,7 @@ from corrqec.errors import DimensionError
 from corrqec.pauli import (
     PauliString,
     SparseState,
+    _dense_block,
     apply_to_basis,
     apply_to_state,
     basis_state,
@@ -19,7 +20,7 @@ from corrqec.pauli import (
 from _oracles import dense_pauli, dense_state
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_dense_equals_kron_oracle_exhaustive_small(n):
     for x, z, phase in itertools.product(range(1 << n), range(1 << n), range(4)):
         got = PauliString(n, x, z, phase).dense()
@@ -31,6 +32,40 @@ def test_dense_equals_kron_oracle_for_six_qubit_strings():
     for mask in range(1 << 6):
         assert np.array_equal(PauliString.x_string(6, mask).dense(), dense_pauli(6, mask, 0))
         assert np.array_equal(PauliString.z_string(6, mask).dense(), dense_pauli(6, 0, mask))
+
+
+def strided_strings(n):
+    """Mixed X/Z strings in every phase: masks on a fixed stride coprime to 2^n."""
+    full = 1 << n
+    for i in range(0, full, 3):
+        for k in range(4):
+            yield PauliString(n, i, (5 * i + 3) % full, k)
+            yield PauliString(n, (7 * i + 1) % full, i, k)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_dense_equals_kron_oracle_for_mixed_strings_in_every_phase(n):
+    for p in strided_strings(n):
+        assert np.array_equal(p.dense(), dense_pauli(n, p.x_mask, p.z_mask, p.phase)), p
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_dense_returns_a_fresh_writeable_matrix(n):
+    p = PauliString(n, 1, (1 << n) - 1, 1)
+    first = p.dense()
+    assert first.flags.writeable
+    first[:] = 7
+    assert np.array_equal(p.dense(), dense_pauli(n, p.x_mask, p.z_mask, p.phase))
+
+
+def test_dense_block_cache_stays_bounded():
+    # every (x, z, phase) of the first block, so 260 distinct blocks in all:
+    # the cache has to evict and still build each string right
+    _dense_block.cache_clear()
+    for x, z, k in itertools.product(range(8), range(8), range(4)):
+        p = PauliString(7, x | z << 3 | (x & 1) << 6, z | x << 3 | (z & 1) << 6, k)
+        assert np.array_equal(p.dense(), dense_pauli(7, p.x_mask, p.z_mask, k)), p
+        assert _dense_block.cache_info().currsize <= 256
 
 
 def test_multiply_x_squares_to_identity():

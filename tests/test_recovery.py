@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from corrqec.channels import MODEL_I, ChannelParams, NoiseChannel, model1_channel
 from corrqec.codes import bitflip3, concatenate, dfs2, pattern_state, phaseflip3
 from corrqec.errors import ContractViolationError, ParameterError
-from corrqec.pauli import PauliString, SparseState, apply_to_state, matrix_element
+from corrqec import recovery
+from corrqec.pauli import PauliString, SparseState, apply_to_state, matrix_element, multiply
 from corrqec.recovery import (
     DETECT_TOL,
     RecoverySet,
@@ -312,3 +314,31 @@ def test_alternative_maximal_sets_diagnostic():
     # the degenerate pair for the noiseless two-qubit code is unique
     code = dfs2("bit")
     assert alternative_maximal_sets(code, channel_for(code)) == []
+
+
+def unmemoized_greedy(code, candidates, known=None):
+    """The greedy selection without its memo: every product is checked anew."""
+    accepted = []
+    for cand in candidates:
+        if all(
+            is_detectable(code, multiply(prev.dagger(), cand)) for prev in accepted
+        ) and is_detectable(code, cand):
+            accepted.append(cand)
+    return accepted
+
+
+def test_alternatives_check_each_distinct_product_once(monkeypatch):
+    channel = channel_for(CONCAT)
+    checked = Counter()
+
+    def counting(code, op):
+        checked[op.x_mask, op.z_mask] += 1
+        return is_detectable(code, op)
+
+    monkeypatch.setattr(recovery, "is_detectable", counting)
+    alts = alternative_maximal_sets(CONCAT, channel)
+    assert len(checked) == 64 and max(checked.values()) == 1
+    monkeypatch.setattr(recovery, "_greedy", unmemoized_greedy)
+    # the memo changes no set and no order
+    assert alternative_maximal_sets(CONCAT, channel) == alts
+    assert len(alts) == 8
