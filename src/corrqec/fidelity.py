@@ -147,9 +147,9 @@ def dense_oracle_fidelity(channel: NoiseChannel, rs: RecoverySet) -> float:
     The rows P R_l are stacked on the first call for a recovery set, from
     recovery matrices streamed one at a time, and kept on the set
     (``rs.projected_rows``); each Kraus term then costs one dense Pauli and
-    one matrix-vector product.  The dense Pauli is still built from
-    single-qubit factors, as one Kronecker step per cached block of up to
-    three qubits (``PauliString.dense``), independently of the sparse kernel.
+    one matrix-vector product.  The dense Pauli is built from single-qubit
+    factors, one Kronecker step per cached block of up to three qubits
+    (``PauliString.dense``), independently of the sparse kernel.
     """
     code = rs.code
     if code.n > 6:
