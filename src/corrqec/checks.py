@@ -22,7 +22,6 @@ from .errors import ParameterError
 from .fidelity import (
     CLOSED_FORM_KEYS,
     SUITE_NAMES,
-    closed_form,
     dense_oracle_fidelity,
     entanglement_fidelity_corrected,
     evaluate,
@@ -89,8 +88,8 @@ def closed_form_agreement(grid_steps: int, inject: str | None = None) -> SuiteRe
             key = f"{base}-model{model}"
             for p in grid:
                 for mu in grid:
-                    f = evaluate(base, model, mu, p).f_numeric
-                    cf = closed_form(base, model, mu, p)
+                    r = evaluate(base, model, mu, p)
+                    f, cf = r.f_numeric, r.f_closed_form
                     if inject == key:
                         cf += 1e-6
                     dev = abs(f - cf)

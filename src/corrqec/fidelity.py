@@ -59,7 +59,6 @@ from .channels import _model2_strings, _model2_weights
 from .errors import CapacityError, DimensionError, ParameterError
 from .pauli import PauliString, apply_to_state
 from .recovery import RecoverySet, recovery_dense
-from .roots import sign_structure
 from .schemes import resolve_scheme, scheme_recovery
 
 
@@ -288,6 +287,7 @@ def threshold_mu(scheme: str, model: int, p: float) -> ThresholdPoint:
     if not g:
         # the same fidelity as the bare qubit for every mu: never strictly better
         return ThresholdPoint(p=p, mu_star=None, branch="none", regions=())
+    from .roots import sign_structure
     edges, signs = sign_structure(g)
     regions = []
     for effective, run in groupby(range(len(signs)), key=lambda i: signs[i] < 0):

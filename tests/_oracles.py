@@ -16,6 +16,10 @@ set must equal it.
 the failure probability (closed form, else the numeric pipeline) minus p,
 refined by float bisection; the exact solver must agree with it to the
 scan's accuracy.
+``bisected_sign_structure`` is the former root rounding: every root of the
+square-free part bisected by exact sign until it rounds to one double, and
+each gap's sign taken at a point the Sturm sequence places left of its
+root; the solver's checked float guesses must reproduce it.
 ``dense_complement_basis`` is the former complement completion: a dense
 numpy Gram-Schmidt over basis kets; the sparse one must reproduce it.
 ``indexed_chain_weights`` is the former model I weight builder, one step
@@ -29,6 +33,7 @@ import math
 
 import numpy as np
 
+from corrqec import roots
 from corrqec.errors import ContractViolationError
 from corrqec.fidelity import ThresholdPoint, closed_form, evaluate
 from corrqec.pauli import SparseState, apply_to_state
@@ -296,6 +301,36 @@ def _scan_branch(regions):
     if len(regions) == 2 and regions[0][0] <= edge and regions[1][1] >= 1.0 - edge:
         return "outside"
     return "mixed"
+
+
+def bisected_sign_structure(g):
+    """``roots.sign_structure`` with every root rounded by exact bisection."""
+    seq = roots._sturm(roots._primitive(g))
+    if len(seq[-1]) > 1:
+        seq = roots._sturm(roots._primitive(roots._divide_exact(seq[0], seq[-1])))
+    h = seq[0]
+    intervals = roots._isolate(seq)
+    signs = [roots._sign_at(g, *roots._left_of_root(seq, a, k)) for a, k in intervals]
+    edges = [0.0] + [_bisected_root(h, a, k) for a, k in intervals]
+    if roots._sign_at(h, 1, 0) != 0:
+        signs.append(roots._sign_at(g, 1, 0))
+        edges.append(1.0)
+    return edges, signs
+
+
+def _bisected_root(h, a, k):
+    """The double nearest the root of square-free h in (a / 2^k, (a + 1) / 2^k]."""
+    side = roots._sign_at(h, a + 1, k)
+    if side == 0:
+        return (a + 1) / (1 << k)
+    while a / (1 << k) != (a + 1) / (1 << k):
+        a, k = 2 * a, k + 1
+        s = roots._sign_at(h, a + 1, k)
+        if s == 0:
+            return (a + 1) / (1 << k)
+        if s != side:
+            a += 1
+    return a / (1 << k)
 
 
 def dense_complement_basis(n, ops):

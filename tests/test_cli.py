@@ -7,13 +7,13 @@ from pathlib import Path
 import pytest
 
 from corrqec import checks, cli, sweep
-from corrqec.channels import ChannelParams, model1_channel
+from corrqec.channels import ChannelParams, NoiseChannel, model1_channel
 from corrqec.checks import closed_form_agreement, flavor_symmetry
 from corrqec.codes import concatenate, dfs2, phaseflip3
 from corrqec.cli import main
 from corrqec.errors import CapacityError, DimensionError, ParameterError
 from corrqec.fidelity import SUITE_NAMES, evaluate, threshold_mu
-from corrqec.recovery import build_recovery, correctable_set
+from corrqec.recovery import RecoverySet, build_recovery, correctable_set
 from corrqec.sweep import (
     CSV_HEADER,
     MAX_RANGE_STEPS,
@@ -417,19 +417,30 @@ def test_fidelity_threshold_and_correctable_do_not_load_numpy():
     assert proc.stdout.startswith("[PASS] sparse-dense")
 
 
+LAZY_IMPORT_SCRIPT = """
+import contextlib, io, sys
+import corrqec.cli
+def loaded():
+    print(sorted({"corrqec.checks", "corrqec.roots", "json"} & set(sys.modules)))
+loaded()
+for argv in (["fidelity", "--model", "2", "--scheme", "dfs2", "--p", "0.1", "--mu", "0.5"],
+             ["threshold", "--model", "2", "--scheme", "dfs2", "--p", "0.1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert corrqec.cli.main(argv) == 0, argv
+    loaded()
+"""
+
+
 def test_importing_the_cli_loads_neither_checks_nor_json():
-    # verify imports the suites, and JSON output json, when they run
+    # verify imports the suites, JSON output json, and threshold the root
+    # solver, when they run
     src = Path(cli.__file__).resolve().parents[1]
-    script = (
-        "import sys, corrqec.cli; "
-        "print(sorted({'corrqec.checks', 'json'} & set(sys.modules)))"
-    )
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", script],
+        [sys.executable, "-S", "-c", LAZY_IMPORT_SCRIPT],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n['corrqec.roots']\n"
 
 
 @pytest.mark.parametrize("grid", ["0", "-3"])
@@ -464,10 +475,9 @@ def test_huge_verify_grid_is_refused(capsys, monkeypatch, grid):
 
 def test_largest_verify_grid_is_accepted(monkeypatch):
     class Row:
-        f_numeric = 0.5
+        f_numeric = f_closed_form = 0.5
 
     monkeypatch.setattr(checks, "evaluate", lambda *args: Row)
-    monkeypatch.setattr(checks, "closed_form", lambda *args: 0.5)
     result = closed_form_agreement(408)
     assert 6 * 408 * 408 <= MAX_RANGE_STEPS
     assert result.passed and result.detail.startswith("grid 408x408")
@@ -589,3 +599,66 @@ def test_flavor_symmetry_suite_fails_on_a_wrong_phase_code(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "flavor-symmetry")
     assert code == 1
     assert "[FAIL] flavor-symmetry" in out
+
+
+def assert_verify_fails(capsys, suite):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite)
+    assert code == 1
+    assert out.startswith(f"[FAIL] {suite}")
+
+
+def test_trace_preservation_suite_fails_on_a_recovery_missing_an_operator(
+    capsys, monkeypatch
+):
+    real = checks.scheme_recovery
+
+    def patched(base, flavor):
+        code, rs = real(base, flavor)
+        if (base, flavor) == ("bit3", "bit"):
+            return code, RecoverySet(rs.code, rs.ops[:-1], rs.complement)
+        return code, rs
+
+    monkeypatch.setattr(checks, "scheme_recovery", patched)
+    result = checks.recovery_trace_preservation()
+    assert not result.passed and result.max_deviation == pytest.approx(1.0)
+    assert_verify_fails(capsys, "trace-preservation")
+
+
+def test_model_mu0_suite_fails_on_a_raised_model2_weight(capsys, monkeypatch):
+    real = checks.model2_channel
+
+    def raised(params):
+        channel = real(params)
+        weights = list(channel.weights)
+        weights[0] += 1e-9
+        return NoiseChannel(channel.n, channel.paulis, weights)
+
+    monkeypatch.setattr(checks, "model2_channel", raised)
+    result = checks.model_mu0_agreement()
+    assert not result.passed and result.max_deviation == pytest.approx(1e-9)
+    assert_verify_fails(capsys, "model-mu0")
+
+
+def test_endpoints_suite_fails_on_a_scaled_fidelity(capsys, monkeypatch):
+    real = checks.evaluate
+
+    def scaled(*args):
+        result = real(*args)
+        return result._replace(f_numeric=result.f_numeric * (1 - 1e-9))
+
+    monkeypatch.setattr(checks, "evaluate", scaled)
+    result = checks.endpoint_identities()
+    assert not result.passed and result.max_deviation == pytest.approx(1e-9)
+    assert_verify_fails(capsys, "endpoints")
+
+
+def test_thresholds_suite_fails_on_a_shifted_p(capsys, monkeypatch):
+    real = checks.threshold_mu
+
+    def shifted(scheme, model, p):
+        return real(scheme, model, 1.01 * p)
+
+    monkeypatch.setattr(checks, "threshold_mu", shifted)
+    result = checks.threshold_reproduction()
+    assert not result.passed and "dfs2 mu* =" in result.detail
+    assert_verify_fails(capsys, "thresholds")
