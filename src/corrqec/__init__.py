@@ -8,9 +8,6 @@ from .channels import (
     ChannelParams,
     NoiseChannel,
     build_channel,
-    model1_channel,
-    model2_channel,
-    phase_flavor,
 )
 from .codes import (
     QuantumCode,
@@ -41,10 +38,8 @@ from .fidelity import (
 from .pauli import (
     PauliString,
     SparseState,
-    apply_to_basis,
     apply_to_state,
     basis_state,
-    hadamard_conjugate,
     matrix_element,
     multiply,
 )
@@ -54,7 +49,6 @@ from .recovery import (
     alternative_maximal_sets,
     build_recovery,
     correctable_set,
-    detectable_set,
     is_detectable,
     non_detectable_set,
     trace_preservation_deviation,

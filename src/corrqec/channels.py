@@ -19,8 +19,8 @@ probability p and a memory degree mu in [0, 1]:
 
 A channel stores its Paulis and their weights side by side: the Kraus
 operator of term k is sqrt(weights[k]) * paulis[k].  The Paulis depend only
-on (n, model, flavor), so the builders give every channel of one such triple
-the same cached tuple and build only the weight list per (mu, p).
+on (n, model, flavor), so ``build_channel`` gives every channel of one such
+triple the same cached tuple and builds only the weight list per (mu, p).
 The weights are defined once, by ``_chain_weights`` and ``_model2_weights``,
 written with ``1 - p`` rather than ``1.0 - p``: the same float arithmetic,
 and the threshold derivation runs the same code on exact polynomials in
@@ -39,7 +39,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .errors import CapacityError, ParameterError
-from .pauli import Frozen, PauliString, hadamard_conjugate
+from .pauli import Frozen, PauliString
 
 MODEL_I = 1
 MODEL_II = 2
@@ -74,7 +74,7 @@ class ChannelParams(namedtuple("ChannelParams", "p mu n flavor model")):
         p = _check_unit("p", p)
         mu = _check_unit("mu", mu)
         if isinstance(n, bool) or not isinstance(n, int):
-            # a float n fails in the builders' shifts, and True is not a qubit count
+            # a float n fails in build_channel's shifts, and True is not a qubit count
             raise ParameterError(f"n must be an integer, got {n!r}")
         if n < 1:
             raise ParameterError(f"n must be >= 1, got {n}")
@@ -191,37 +191,16 @@ def _model2_strings(n: int, flavor: str) -> tuple[PauliString, ...]:
     return strings + (strings[0], strings[-1])
 
 
-def model1_channel(params: ChannelParams) -> NoiseChannel:
-    """Markov-correlated channel; 2^n Kraus terms, masks ascending."""
-    if params.model != MODEL_I:
-        raise ParameterError(f"params.model must be {MODEL_I} for model1_channel")
-    n, p, mu = params.n, params.p, params.mu
-    return NoiseChannel(
-        n, _flavored_strings(n, params.flavor), _chain_weights(n, p, mu), shared=True
-    )
-
-
-def model2_channel(params: ChannelParams) -> NoiseChannel:
-    """Convex combination of the memoryless channel and the all-or-nothing one.
-
-    The returned term list is unmerged: 2^n memoryless terms scaled by
-    (1 - mu), then the two all-or-nothing terms scaled by mu.
-    """
-    if params.model != MODEL_II:
-        raise ParameterError(f"params.model must be {MODEL_II} for model2_channel")
-    n, p, mu = params.n, params.p, params.mu
-    return NoiseChannel(
-        n, _model2_strings(n, params.flavor), _model2_weights(n, p, mu), shared=True
-    )
-
-
 def build_channel(params: ChannelParams) -> NoiseChannel:
+    """The channel of ``params``, on the cached Pauli tuple of its (n, model, flavor).
+
+    Model I has 2^n terms, masks ascending.  Model II's term list is
+    unmerged: 2^n memoryless terms scaled by (1 - mu), then the two
+    all-or-nothing terms scaled by mu.
+    """
+    n, p, mu, flavor = params.n, params.p, params.mu, params.flavor
     if params.model == MODEL_I:
-        return model1_channel(params)
-    return model2_channel(params)
-
-
-def phase_flavor(channel: NoiseChannel) -> NoiseChannel:
-    """Hadamard-conjugate every Kraus operator; weights unchanged."""
-    paulis = tuple(hadamard_conjugate(op) for op in channel.paulis)
-    return NoiseChannel(channel.n, paulis, channel.weights)
+        paulis, weights = _flavored_strings(n, flavor), _chain_weights(n, p, mu)
+    else:
+        paulis, weights = _model2_strings(n, flavor), _model2_weights(n, p, mu)
+    return NoiseChannel(n, paulis, weights, shared=True)

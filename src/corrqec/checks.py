@@ -10,14 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .channels import (
-    MODEL_I,
-    MODEL_II,
-    ChannelParams,
-    build_channel,
-    model1_channel,
-    model2_channel,
-)
+from .channels import MODEL_I, MODEL_II, ChannelParams, build_channel
 from .errors import ParameterError
 from .fidelity import (
     CLOSED_FORM_KEYS,
@@ -168,7 +161,7 @@ def correctable_census() -> SuiteResult:
     concat_census: dict[int, int] = {}
     for base, expected, expected_nondet in cases:
         code, rs = scheme_recovery(base, "bit")
-        channel = model1_channel(ChannelParams(p=0.5, mu=0.5, n=code.n, model=MODEL_I))
+        channel = build_channel(ChannelParams(p=0.5, mu=0.5, n=code.n, model=MODEL_I))
         corr = [op for rop in rs.ops for op in rop.members]
         nondet = non_detectable_set(code, channel)
         if masks(corr) != expected:
@@ -229,8 +222,8 @@ def model_mu0_agreement() -> SuiteResult:
     identical = True
     for n in range(1, 7):
         for p in (0.0, 0.1, 0.3, 0.5, 1.0):
-            m1 = model1_channel(ChannelParams(p=p, mu=0.0, n=n, model=MODEL_I)).merged()
-            m2 = model2_channel(ChannelParams(p=p, mu=0.0, n=n, model=MODEL_II)).merged()
+            m1 = build_channel(ChannelParams(p=p, mu=0.0, n=n, model=MODEL_I)).merged()
+            m2 = build_channel(ChannelParams(p=p, mu=0.0, n=n, model=MODEL_II)).merged()
             if [op.x_mask for _, op in m1.terms] != [op.x_mask for _, op in m2.terms]:
                 identical = False
                 continue

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .channels import ChannelParams, build_channel
 from .errors import CapacityError, DimensionError, ParameterError
@@ -38,6 +39,8 @@ def positive_int(text: str) -> int:
     return value
 
 
+# built once per process: parsing leaves the parser as it was, a usage error too
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corrqec",
@@ -110,7 +113,8 @@ def _steps(single: float | None, range_text: str | None, name: str) -> int:
 
 def _values(single: float | None, range_text: str | None) -> tuple[float, ...]:
     """The axis that ``_steps`` checked, as a grid."""
-    return (single,) if single is not None else parse_range(range_text)
+    # -0.0 + 0.0 is 0.0: a signed zero prints as the zero it equals
+    return (single + 0.0,) if single is not None else parse_range(range_text)
 
 
 def _schemes(args: argparse.Namespace) -> tuple[str, ...]:

@@ -21,8 +21,8 @@ cached Pauli tuple, a term table: the (k, square) pairs of the nonzero
 squares in term order.  A fidelity point is then one pass over the table
 adding w_k * s, the same operands in the same order as recomputing every
 trace, so the result is bit-identical to it.  A channel whose Paulis are
-not a builder's tuple (a merged or phase-flavored view, or one built by
-hand) takes the same pass through the memo and leaves no table behind.
+not a builder's tuple (a merged view, or one built by hand) takes the same
+pass through the memo and leaves no table behind.
 
 The evaluator consumes the channel's canonical (unmerged) term list.
 Merging terms that carry the same Pauli adds their weights w, which leaves
@@ -38,7 +38,7 @@ threshold curves report where F_unencoded - F < 0.
 
 Thresholds do not use the published tables: for these Pauli channels F is
 the total channel weight of the error strings the recovery undoes.  The
-channel builders' own weight code, run on the symbols mu and p, gives that
+channel builder's own weight code, run on the symbols mu and p, gives that
 as an integer-coefficient polynomial per (scheme, model), derived once from
 the correctable set; the bare qubit's set {I} derives 1 - p.  At a float p
 the difference of two such polynomials becomes a polynomial in mu with
@@ -329,7 +329,7 @@ def _branch(regions: list[tuple[float, float]]) -> str:
 class _Poly(dict):
     """An integer-coefficient polynomial in (mu, p): {(mu power, p power): c}.
 
-    It has the arithmetic of the channel builders' weight code (+ and * with
+    It has the arithmetic of the channel builder's weight code (+ and * with
     ints and with itself, int - poly, poly ** int), so that code runs on the
     symbols mu and p.
     """

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import ContractViolationError, DimensionError
+from .errors import DimensionError
 
 PRUNE_TOL = 1e-14
 NORM_TOL = 1e-12
@@ -197,20 +197,6 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
     return PauliString(a.n, a.x_mask ^ b.x_mask, a.z_mask ^ b.z_mask, phase)
 
 
-def hadamard_conjugate(p: PauliString) -> PauliString:
-    """Conjugate by H on every qubit: X <-> Z, with XZ -> ZX = -XZ."""
-    flips = (p.x_mask & p.z_mask).bit_count() & 1
-    return PauliString(p.n, p.z_mask, p.x_mask, (p.phase + 2 * flips) % 4)
-
-
-def apply_to_basis(p: PauliString, index: int) -> tuple[int, complex]:
-    """Image of ``|index>`` under ``p`` as ``(new_index, phase_factor)``."""
-    if not 0 <= index < (1 << p.n):
-        raise DimensionError(f"basis index {index} out of range for n={p.n}")
-    parity = (p.z_mask & index).bit_count() & 1
-    return index ^ p.x_mask, p.sign * (1 - 2 * parity)
-
-
 class SparseState:
     """State vector on n qubits stored as {basis index: amplitude}.
 
@@ -236,12 +222,6 @@ class SparseState:
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
 
-    def normalized(self) -> "SparseState":
-        nrm = self.norm()
-        if nrm == 0.0:
-            raise ContractViolationError("cannot normalize the zero state")
-        return SparseState(self.n, {i: a / nrm for i, a in self.amplitudes.items()})
-
     def inner(self, other: "SparseState") -> complex:
         """<self|other>; conjugation applied to self."""
         if self.n != other.n:
@@ -256,15 +236,6 @@ class SparseState:
             self.amplitudes[i].conjugate() * a
             for i, a in other.amplitudes.items()
             if i in self.amplitudes
-        )
-
-    def isclose(self, other: "SparseState", tol: float = NORM_TOL) -> bool:
-        if self.n != other.n:
-            return False
-        keys = set(self.amplitudes) | set(other.amplitudes)
-        return all(
-            abs(self.amplitudes.get(k, 0.0) - other.amplitudes.get(k, 0.0)) <= tol
-            for k in keys
         )
 
     def dense(self) -> np.ndarray:
@@ -284,7 +255,7 @@ def basis_state(n: int, index: int) -> SparseState:
 
 
 def apply_to_state(p: PauliString, s: SparseState) -> SparseState:
-    """Linear extension of :func:`apply_to_basis`; norm-preserving."""
+    """``p |s>``, each basis ket mapped as the module docstring gives; norm-preserving."""
     if p.n != s.n:
         raise DimensionError(f"qubit counts differ: {p.n} != {s.n}")
     sign = p.sign

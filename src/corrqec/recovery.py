@@ -114,10 +114,6 @@ def _sorted_candidates(channel: NoiseChannel) -> list[PauliString]:
     return sorted(ops, key=lambda op: (op.weight, op.x_mask, op.z_mask, op.phase))
 
 
-def detectable_set(code: QuantumCode, channel: NoiseChannel) -> list[PauliString]:
-    return [op for op in _sorted_candidates(channel) if is_detectable(code, op)]
-
-
 def non_detectable_set(code: QuantumCode, channel: NoiseChannel) -> list[PauliString]:
     return [op for op in _sorted_candidates(channel) if not is_detectable(code, op)]
 

@@ -6,7 +6,7 @@ is checked against plain matrix arithmetic.  ``per_point_fidelity`` is the
 corrected-fidelity loop that recomputes every restricted trace at every
 point; the memoized kernel must reproduce it bit for bit.
 ``model1_weights`` and ``model2_weights`` compute each channel weight
-mask by mask; the channel builders must reproduce them bit for bit.
+mask by mask; `build_channel` must reproduce them bit for bit.
 ``per_row_dense_fidelity`` takes one dense dot product per (term, recovery
 operator) pair; the library's dense oracle must agree with it to rounding.
 ``per_call_dense_oracle_fidelity`` is the former dense oracle, which stacked
@@ -26,6 +26,10 @@ numpy Gram-Schmidt over basis kets; the sparse one must reproduce it.
 factor looked up per element; the four-comprehension one must equal it.
 ``dict_fidelity_json`` is the former JSON renderer, one dict per row through
 ``json.dumps(indent=2)``; the template renderer must reproduce its bytes.
+``isclose`` and ``normalized`` compare and scale sparse states amplitude by
+amplitude; ``hadamard_conjugate`` and ``phase_flavor`` map a Pauli and a
+channel through H on every qubit, so the phase flavor the builder makes
+directly can be checked against the conjugated bit flavor.
 """
 
 import json
@@ -36,7 +40,8 @@ import numpy as np
 from corrqec import roots
 from corrqec.errors import ContractViolationError
 from corrqec.fidelity import ThresholdPoint, closed_form, evaluate
-from corrqec.pauli import SparseState, apply_to_state
+from corrqec.channels import NoiseChannel
+from corrqec.pauli import PauliString, SparseState, apply_to_state
 from corrqec.recovery import recovery_dense
 from corrqec.sweep import fmt_float
 
@@ -361,3 +366,31 @@ def dense_complement_basis(n, ops):
         SparseState(n, {i: complex(a) for i, a in enumerate(v) if abs(a) > 1e-14})
         for v in basis
     ]
+
+
+def isclose(a, b, tol=1e-12):
+    """Same qubit count, and every amplitude within ``tol``."""
+    if a.n != b.n:
+        return False
+    keys = set(a.amplitudes) | set(b.amplitudes)
+    return all(abs(a.amplitudes.get(k, 0.0) - b.amplitudes.get(k, 0.0)) <= tol for k in keys)
+
+
+def normalized(state):
+    """``state`` scaled to norm 1; the zero state has no direction."""
+    nrm = state.norm()
+    if nrm == 0.0:
+        raise ContractViolationError("cannot normalize the zero state")
+    return SparseState(state.n, {i: a / nrm for i, a in state.amplitudes.items()})
+
+
+def hadamard_conjugate(p):
+    """Conjugate by H on every qubit: X <-> Z, with XZ -> ZX = -XZ."""
+    flips = (p.x_mask & p.z_mask).bit_count() & 1
+    return PauliString(p.n, p.z_mask, p.x_mask, (p.phase + 2 * flips) % 4)
+
+
+def phase_flavor(channel):
+    """Hadamard-conjugate every Kraus operator; weights unchanged."""
+    paulis = tuple(hadamard_conjugate(op) for op in channel.paulis)
+    return NoiseChannel(channel.n, paulis, channel.weights)

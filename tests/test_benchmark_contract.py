@@ -7,6 +7,7 @@ that breaks one of these fails here rather than in a benchmark run.  The
 tests only read ``perfbench/``.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -44,6 +45,66 @@ def test_every_traced_name_resolves_to_a_callable(bench):
     assert table
     for name, module, attr, _ in table:
         assert callable(getattr(module, attr, None)), f"{name}: {module.__name__}.{attr}"
+
+
+# exported although nothing in src/ calls them: the derivation beyond the
+# registry (ROADMAP item 6) rotates codes with them
+UNCALLED_EXPORTS = {
+    "hadamard_conjugate_code": "maps a code to its phase-flavor image for item 6",
+    "hadamard_transform": "the state rotation hadamard_conjugate_code applies",
+}
+
+
+def _names_used_outside_their_definition(path):
+    """Names a module loads, or reads as attributes, outside the def or class of that name."""
+    used = set()
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self):
+            self.enclosing = []
+
+        def visit_definition(self, node):
+            self.enclosing.append(node.name)
+            self.generic_visit(node)
+            self.enclosing.pop()
+
+        visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = visit_definition
+
+        def use(self, name):
+            if name not in self.enclosing:
+                used.add(name)
+
+        def visit_Name(self, node):
+            if isinstance(node.ctx, ast.Load):
+                self.use(node.id)
+
+        def visit_Attribute(self, node):
+            self.use(node.attr)
+            self.generic_visit(node)
+
+    Visitor().visit(ast.parse(path.read_text(encoding="utf-8")))
+    return used
+
+
+def test_every_export_has_a_caller_in_the_package(bench):
+    # a public function only tests call is API to keep for nobody; tests keep
+    # their references in tests/_oracles.py instead
+    _, tracer = bench
+    package = Path(corrqec.__file__).resolve().parent
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = [
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert "build_channel" in exported and "scheme_recovery" in exported
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _names_used_outside_their_definition(path)
+    traced = {attr for _, _, attr, _ in tracer.span_table()}
+    assert [name for name in exported if name not in used | traced | UNCALLED_EXPORTS.keys()] == []
 
 
 def test_traced_request_gives_the_expected_calls(bench):

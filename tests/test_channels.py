@@ -7,9 +7,6 @@ from corrqec.channels import (
     MODEL_II,
     ChannelParams,
     build_channel,
-    model1_channel,
-    model2_channel,
-    phase_flavor,
 )
 from corrqec.cli import main
 from corrqec.errors import CapacityError, ParameterError
@@ -21,6 +18,7 @@ from _oracles import (
     indexed_chain_weights,
     model1_weights,
     model2_weights,
+    phase_flavor,
 )
 
 
@@ -30,7 +28,7 @@ def params(p, mu, n, model=MODEL_I, flavor="bit"):
 
 def transition(p, mu):
     """P(i_2 = cur | i_1 = prev), keyed (cur, prev), read off the n = 2 model I channel."""
-    weights = [w for w, _ in model1_channel(params(p, mu, 2)).terms]
+    weights = [w for w, _ in build_channel(params(p, mu, 2)).terms]
     first = (1.0 - p, p)
     return {
         (cur, prev): weights[prev | cur << 1] / first[prev] for cur in (0, 1) for prev in (0, 1)
@@ -53,7 +51,7 @@ def test_conditional_probability_perfect_memory():
 
 def test_model1_two_qubit_table():
     # hand-derived: p00*p0, p10*p0, p01*p1, p11*p1 at p=0.1, mu=0.5
-    channel = model1_channel(params(0.1, 0.5, 2))
+    channel = build_channel(params(0.1, 0.5, 2))
     weights = {op.x_mask: w for w, op in channel.terms}
     assert abs(weights[0b00] - 0.855) < 1e-12
     assert abs(weights[0b01] - 0.045) < 1e-12  # X1
@@ -63,7 +61,7 @@ def test_model1_two_qubit_table():
 
 
 def test_model1_memoryless_limit_is_iid():
-    channel = model1_channel(params(0.2, 0.0, 3))
+    channel = build_channel(params(0.2, 0.0, 3))
     for w, op in channel.terms:
         k = op.x_mask.bit_count()
         assert abs(w - 0.2**k * 0.8 ** (3 - k)) < 1e-15
@@ -71,7 +69,7 @@ def test_model1_memoryless_limit_is_iid():
 
 
 def test_model1_perfect_memory_two_survivors():
-    channel = model1_channel(params(0.1, 1.0, 3))
+    channel = build_channel(params(0.1, 1.0, 3))
     nonzero = {op.x_mask: w for w, op in channel.terms if w > 0}
     assert set(nonzero) == {0b000, 0b111}
     assert abs(nonzero[0b000] - 0.9) < 1e-15
@@ -84,14 +82,14 @@ def test_model1_markov_marginal_is_stationary():
     for n in (2, 4, 6):
         for p in (0.1, 0.37):
             for mu in (0.0, 0.4, 0.9):
-                channel = model1_channel(params(p, mu, n))
+                channel = build_channel(params(p, mu, n))
                 for bit in range(n):
                     marg = sum(w for w, op in channel.terms if (op.x_mask >> bit) & 1)
                     assert abs(marg - p) < 1e-12
 
 
 def test_model2_merge_example():
-    channel = model2_channel(params(0.1, 0.5, 2, model=MODEL_II))
+    channel = build_channel(params(0.1, 0.5, 2, model=MODEL_II))
     assert len(channel.terms) == 6  # unmerged: 4 iid + 2 all-or-nothing
     merged = channel.merged()
     weights = {op.x_mask: w for w, op in merged.terms}
@@ -102,7 +100,7 @@ def test_model2_merge_example():
 
 
 def test_model2_perfect_memory():
-    channel = model2_channel(params(0.1, 1.0, 3, model=MODEL_II))
+    channel = build_channel(params(0.1, 1.0, 3, model=MODEL_II))
     nonzero = {op.x_mask: w for w, op in channel.terms if w > 0}
     assert set(nonzero) == {0b000, 0b111}
     assert abs(nonzero[0b000] - 0.729) < 1e-12
@@ -112,8 +110,8 @@ def test_model2_perfect_memory():
 def test_model2_matches_model1_at_mu_zero():
     for n in (1, 2, 3, 4, 5):
         for p in (0.0, 0.1, 0.5, 1.0):
-            m1 = model1_channel(params(p, 0.0, n)).merged()
-            m2 = model2_channel(params(p, 0.0, n, model=MODEL_II)).merged()
+            m1 = build_channel(params(p, 0.0, n)).merged()
+            m2 = build_channel(params(p, 0.0, n, model=MODEL_II)).merged()
             assert [op.x_mask for _, op in m1.terms] == [op.x_mask for _, op in m2.terms]
             for (w1, _), (w2, _) in zip(m1.terms, m2.terms):
                 assert abs(w1 - w2) < 1e-12
@@ -123,17 +121,17 @@ def test_normalization_sweep():
     for n in range(1, 9):
         for p in (0.0, 0.1, 0.3, 0.5, 1.0):
             for mu in (0.0, 0.3, 0.7, 1.0):
-                for build, model in ((model1_channel, MODEL_I), (model2_channel, MODEL_II)):
-                    channel = build(params(p, mu, n, model=model))
+                for model in (MODEL_I, MODEL_II):
+                    channel = build_channel(params(p, mu, n, model=model))
                     assert abs(channel.total_weight() - 1.0) < 1e-12
 
 
 def test_dense_cptp_oracle_small_n():
     rng = np.random.default_rng(2)
     for n in (1, 2, 3):
-        for build, model in ((model1_channel, MODEL_I), (model2_channel, MODEL_II)):
+        for model in (MODEL_I, MODEL_II):
             p, mu = float(rng.uniform()), float(rng.uniform())
-            channel = build(params(p, mu, n, model=model))
+            channel = build_channel(params(p, mu, n, model=model))
             kraus = [
                 np.sqrt(w) * dense_pauli(n, op.x_mask, op.z_mask, op.phase)
                 for w, op in channel.terms
@@ -147,7 +145,7 @@ def test_dense_cptp_oracle_small_n():
 def test_model1_dense_superoperator_matches_direct_construction():
     # independent reconstruction: loop over error strings, conditionals chained
     n, p, mu = 3, 0.23, 0.61
-    channel = model1_channel(params(p, mu, n))
+    channel = build_channel(params(p, mu, n))
     got = {op.x_mask: w for w, op in channel.terms}
     for bits in range(1 << n):
         b = [(bits >> k) & 1 for k in range(n)]
@@ -158,7 +156,7 @@ def test_model1_dense_superoperator_matches_direct_construction():
 
 
 def test_phase_flavor_single_qubit():
-    channel = model1_channel(params(0.1, 0.0, 1))
+    channel = build_channel(params(0.1, 0.0, 1))
     flipped = phase_flavor(channel)
     weights = {(op.x_mask, op.z_mask): w for w, op in flipped.terms}
     assert abs(weights[(0, 0)] - 0.9) < 1e-15
@@ -166,13 +164,13 @@ def test_phase_flavor_single_qubit():
 
 
 def test_phase_flavor_identity_channel_unchanged():
-    channel = model1_channel(params(0.0, 0.3, 2))
+    channel = build_channel(params(0.0, 0.3, 2))
     flipped = phase_flavor(channel)
     assert sum(w for w, op in flipped.terms if op.is_identity) == pytest.approx(1.0)
 
 
 def test_phase_flavor_preserves_weights():
-    channel = model1_channel(params(0.1, 0.5, 3))
+    channel = build_channel(params(0.1, 0.5, 3))
     flipped = phase_flavor(channel)
     for (w1, op1), (w2, op2) in zip(channel.terms, flipped.terms):
         assert w1 == w2
@@ -182,8 +180,8 @@ def test_phase_flavor_preserves_weights():
 
 
 def test_phase_flavor_built_directly():
-    direct = model1_channel(params(0.1, 0.5, 3, flavor="phase"))
-    conjugated = phase_flavor(model1_channel(params(0.1, 0.5, 3)))
+    direct = build_channel(params(0.1, 0.5, 3, flavor="phase"))
+    conjugated = phase_flavor(build_channel(params(0.1, 0.5, 3)))
     assert [(w, op.z_mask) for w, op in direct.terms] == [
         (w, op.z_mask) for w, op in conjugated.terms
     ]
@@ -231,20 +229,24 @@ def test_replaced_params_are_checked_and_stored_as_floats():
 
 
 def test_builders_check_model_field():
-    with pytest.raises(ParameterError):
-        model1_channel(params(0.1, 0.5, 2, model=MODEL_II))
-    with pytest.raises(ParameterError):
-        model2_channel(params(0.1, 0.5, 2, model=MODEL_I))
+    # build_channel reads the model from the field, which ChannelParams has
+    # already checked; each (n, model) keeps one cached Pauli tuple
+    one = build_channel(params(0.1, 0.5, 2, model=MODEL_I))
+    two = build_channel(params(0.1, 0.5, 2, model=MODEL_II))
+    assert (len(one.terms), len(two.terms)) == (4, 6)
+    assert one.paulis is build_channel(params(0.3, 0.2, 2, model=MODEL_I)).paulis
+    assert two.paulis is build_channel(params(0.3, 0.2, 2, model=MODEL_II)).paulis
+    assert one.shared and two.shared
 
 
 def test_operators_dedupes_but_terms_do_not():
-    channel = model2_channel(params(0.2, 0.7, 2, model=MODEL_II))
+    channel = build_channel(params(0.2, 0.7, 2, model=MODEL_II))
     assert len(channel.terms) == 6
     assert len(channel.merged().terms) == 4
 
 
 def test_merged_is_sorted_and_normalized():
-    channel = model2_channel(params(0.3, 0.4, 3, model=MODEL_II)).merged()
+    channel = build_channel(params(0.3, 0.4, 3, model=MODEL_II)).merged()
     masks = [op.x_mask for _, op in channel.terms]
     assert masks == sorted(masks)
     assert abs(channel.total_weight() - 1.0) < 1e-12
@@ -257,11 +259,8 @@ def test_weights_are_bit_identical_to_per_mask_loops():
     for n in range(1, 9):
         for p in WEIGHT_EDGE_VALUES:
             for mu in WEIGHT_EDGE_VALUES:
-                for model, build, reference in (
-                    (MODEL_I, model1_channel, model1_weights),
-                    (MODEL_II, model2_channel, model2_weights),
-                ):
-                    got = [w for w, _ in build(params(p, mu, n, model)).terms]
+                for model, reference in ((MODEL_I, model1_weights), (MODEL_II, model2_weights)):
+                    got = [w for w, _ in build_channel(params(p, mu, n, model)).terms]
                     want = reference(n, p, mu)
                     assert [w.hex() for w in got] == [w.hex() for w in want], (model, n, p, mu)
 

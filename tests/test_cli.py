@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from corrqec import checks, cli, sweep
-from corrqec.channels import ChannelParams, NoiseChannel, model1_channel
+from corrqec.channels import MODEL_II, ChannelParams, NoiseChannel, build_channel
 from corrqec.checks import closed_form_agreement, flavor_symmetry
 from corrqec.codes import concatenate, dfs2, phaseflip3
 from corrqec.cli import main
@@ -136,6 +136,36 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fidelity", "--model", "3", "--scheme", "bit3", "--p", "0.1", "--mu", "0.5"])
     assert exc.value.code == 2
+
+
+def test_a_usage_error_leaves_the_next_request_unchanged(capsys):
+    # the parser is built once per process; a refused request, whether argparse
+    # or the command refuses it, must not change what the next one parses
+    good = ("fidelity", "--model", "1", "--scheme", "dfs2", "--p", "0.1", "--mu-range", "0:1:3")
+    code, alone, _ = run_cli(capsys, *good)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["fidelity", "--model", "3", "--scheme", "bit3", "--format", "json", "--p", "0.1"])
+    assert exc.value.code == 2
+    code, _, _ = run_cli(
+        capsys, "fidelity", "--model", "2", "--scheme", "bit3", "--format", "json", "--p", "2",
+        "--mu", "0.5",
+    )
+    assert code == 2
+    assert run_cli(capsys, *good) == (0, alone, "")
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_signed_zero_prints_as_zero(capsys, fmt):
+    fidelity = ("fidelity", "--model", "2", "--scheme", "bit3,unencoded", "--format", fmt)
+    code, signed, _ = run_cli(capsys, *fidelity, "--p", "-0", "--mu", "-0.0")
+    assert code == 0 and "-0" not in signed
+    assert run_cli(capsys, *fidelity, "--p", "0", "--mu", "0") == (0, signed, "")
+    threshold = ("threshold", "--model", "1", "--scheme", "dfs2", "--format", fmt, "--p")
+    code, _, err = run_cli(capsys, *threshold, "-0")
+    assert code == 2
+    assert run_cli(capsys, *threshold, "0") == (2, "", err)
 
 
 def test_threshold_command(capsys):
@@ -584,7 +614,7 @@ def test_flavor_symmetry_suite_fails_on_a_wrong_phase_code(capsys, monkeypatch):
     # |+++--->/|---+++> is not the Hadamard mirror of the bit-flavor concat6
     # code: at p=0.2, mu=0.4 (model 1) its fidelity is 0.882 against 0.758
     wrong = concatenate(dfs2("phase"), phaseflip3())
-    support = model1_channel(ChannelParams(p=0.5, mu=0.5, n=6, flavor="phase"))
+    support = build_channel(ChannelParams(p=0.5, mu=0.5, n=6, flavor="phase"))
     wrong_rs = build_recovery(wrong, correctable_set(wrong, support))
     real = checks.scheme_recovery
 
@@ -625,15 +655,17 @@ def test_trace_preservation_suite_fails_on_a_recovery_missing_an_operator(
 
 
 def test_model_mu0_suite_fails_on_a_raised_model2_weight(capsys, monkeypatch):
-    real = checks.model2_channel
+    real = checks.build_channel
 
     def raised(params):
         channel = real(params)
+        if params.model != MODEL_II:
+            return channel
         weights = list(channel.weights)
         weights[0] += 1e-9
         return NoiseChannel(channel.n, channel.paulis, weights)
 
-    monkeypatch.setattr(checks, "model2_channel", raised)
+    monkeypatch.setattr(checks, "build_channel", raised)
     result = checks.model_mu0_agreement()
     assert not result.passed and result.max_deviation == pytest.approx(1e-9)
     assert_verify_fails(capsys, "model-mu0")

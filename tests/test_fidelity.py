@@ -7,6 +7,7 @@ from _oracles import (
     per_call_dense_oracle_fidelity,
     per_point_fidelity,
     per_row_dense_fidelity,
+    phase_flavor,
     scan_threshold_mu,
 )
 from corrqec import fidelity
@@ -17,9 +18,6 @@ from corrqec.channels import (
     ChannelParams,
     NoiseChannel,
     build_channel,
-    model1_channel,
-    model2_channel,
-    phase_flavor,
 )
 from corrqec.errors import (
     CapacityError,
@@ -510,11 +508,11 @@ def test_model_builders_disagree_only_through_memory():
 def test_model1_channel_term_count_feeds_fidelity():
     # 64 Kraus terms; 32 correctable operators grouped into 16 isometries
     _, rs = scheme_recovery("concat6", "bit")
-    ch = model1_channel(ChannelParams(p=0.1, mu=0.5, n=6, model=MODEL_I))
+    ch = channel(MODEL_I, 6, 0.1, 0.5)
     assert len(ch.terms) == 64
     assert len(rs.ops) == 16
     assert sum(len(op.members) for op in rs.ops) == 32
-    ch2 = model2_channel(ChannelParams(p=0.1, mu=0.5, n=6, model=MODEL_II))
+    ch2 = channel(MODEL_II, 6, 0.1, 0.5)
     assert len(ch2.terms) == 66
     f = entanglement_fidelity_corrected(ch2, rs)
     assert abs(f - closed_form("concat6", MODEL_II, 0.5, 0.1)) < 1e-10
@@ -615,7 +613,7 @@ def test_term_table_holds_only_the_nonzero_squares(scheme, sizes):
 
 
 def test_non_builder_channels_store_no_table():
-    # each merged() or phase_flavor() call makes a new Pauli tuple; keeping a
+    # each merged() view or phase-conjugated copy is a new Pauli tuple; keeping a
     # table per tuple would add one table per call
     for scheme in ("concat6", "dfs2"):
         code, rs = scheme_recovery(scheme, "bit")

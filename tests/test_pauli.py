@@ -9,15 +9,13 @@ from corrqec.pauli import (
     PauliString,
     SparseState,
     _dense_block,
-    apply_to_basis,
     apply_to_state,
     basis_state,
-    hadamard_conjugate,
     matrix_element,
     multiply,
 )
 
-from _oracles import dense_pauli, dense_state
+from _oracles import dense_pauli, dense_state, hadamard_conjugate, isclose, normalized
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -159,26 +157,31 @@ def test_dagger_matches_conjugate_transpose():
                 )
 
 
-def test_apply_to_basis_examples():
+def test_apply_to_state_basis_examples():
     # X on qubit 1 of |000>
-    assert apply_to_basis(PauliString.x_string(3, 0b001), 0) == (1, 1)
+    assert apply_to_state(PauliString.x_string(3, 0b001), basis_state(3, 0)).amplitudes == {1: 1}
     # Z on qubit 1 of |001> (index 1) picks up -1
-    idx, ph = apply_to_basis(PauliString.z_string(3, 0b001), 1)
-    assert (idx, ph) == (1, -1)
+    out = apply_to_state(PauliString.z_string(3, 0b001), basis_state(3, 1))
+    assert out.amplitudes == {1: -1}
     # X1X2 on |110000> (qubits 1,2 set -> index 3) returns |000000>
-    idx, ph = apply_to_basis(PauliString.x_string(6, 0b000011), 0b000011)
-    assert (idx, ph) == (0, 1)
+    out = apply_to_state(PauliString.x_string(6, 0b000011), basis_state(6, 0b000011))
+    assert out.amplitudes == {0: 1}
 
 
-def test_apply_to_basis_range_check():
+def test_basis_index_range_check():
     with pytest.raises(DimensionError):
-        apply_to_basis(PauliString.identity(2), 4)
+        basis_state(2, 4)
+    with pytest.raises(DimensionError):
+        SparseState(2, {-1: 1.0})
+    # a ket in range for 3 qubits is not one for a 2-qubit string
+    with pytest.raises(DimensionError):
+        apply_to_state(PauliString.identity(2), basis_state(3, 4))
 
 
 def test_apply_to_state_identity():
     state = pattern_state("+-")
     out = apply_to_state(PauliString.identity(2), state)
-    assert out.isclose(state)
+    assert isclose(out, state)
 
 
 def test_apply_to_state_dfs_eigenvector():
@@ -186,17 +189,17 @@ def test_apply_to_state_dfs_eigenvector():
     state = pattern_state("+-")
     out = apply_to_state(PauliString.x_string(2, 0b11), state)
     scaled = SparseState(2, {i: -a for i, a in state.amplitudes.items()})
-    assert out.isclose(scaled)
+    assert isclose(out, scaled)
 
 
 def test_apply_to_state_concat_block_eigenvalues():
     code = concatenate(dfs2("bit"), bitflip3())
     x123 = PauliString.x_string(6, 0b000111)
     plus = apply_to_state(x123, code.logical_zero)
-    assert plus.isclose(code.logical_zero)
+    assert isclose(plus, code.logical_zero)
     minus = apply_to_state(x123, code.logical_one)
     flipped = SparseState(6, {i: -a for i, a in code.logical_one.amplitudes.items()})
-    assert minus.isclose(flipped)
+    assert isclose(minus, flipped)
 
 
 def test_unitarity_on_random_states():
@@ -207,7 +210,7 @@ def test_unitarity_on_random_states():
             int(i): complex(rng.normal(), rng.normal())
             for i in rng.choice(1 << n, size=min(4, 1 << n), replace=False)
         }
-        state = SparseState(n, amps).normalized()
+        state = normalized(SparseState(n, amps))
         p = PauliString(
             n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)), int(rng.integers(0, 4))
         )
@@ -215,11 +218,11 @@ def test_unitarity_on_random_states():
 
 
 def test_involution_for_real_signed_strings():
-    state = pattern_state("+-0").normalized()
+    state = normalized(pattern_state("+-0"))
     p = PauliString.x_string(3, 0b101)
-    assert apply_to_state(p, apply_to_state(p, state)).isclose(state)
+    assert isclose(apply_to_state(p, apply_to_state(p, state)), state)
     q = PauliString.z_string(3, 0b110)
-    assert apply_to_state(q, apply_to_state(q, state)).isclose(state)
+    assert isclose(apply_to_state(q, apply_to_state(q, state)), state)
 
 
 def test_matrix_element_examples():
@@ -239,8 +242,8 @@ def test_matrix_element_examples():
 
 def test_matrix_element_against_dense():
     rng = np.random.default_rng(9)
-    bra = SparseState(3, {0: 0.5, 3: 0.5j, 6: -0.5, 7: 0.5}).normalized()
-    ket = SparseState(3, {1: 1.0, 2: -1.0j, 5: 2.0}).normalized()
+    bra = normalized(SparseState(3, {0: 0.5, 3: 0.5j, 6: -0.5, 7: 0.5}))
+    ket = normalized(SparseState(3, {1: 1.0, 2: -1.0j, 5: 2.0}))
     for _ in range(40):
         p = PauliString(3, int(rng.integers(0, 8)), int(rng.integers(0, 8)), int(rng.integers(0, 4)))
         want = dense_state(bra).conj() @ dense_pauli(3, p.x_mask, p.z_mask, p.phase) @ dense_state(ket)

@@ -4,10 +4,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from corrqec.channels import MODEL_I, ChannelParams, NoiseChannel, model1_channel
+from corrqec import channels, recovery, schemes
+from corrqec.channels import MODEL_I, MODEL_II, ChannelParams, NoiseChannel, build_channel
 from corrqec.codes import bitflip3, concatenate, dfs2, pattern_state, phaseflip3
 from corrqec.errors import ContractViolationError, ParameterError
-from corrqec import recovery
 from corrqec.pauli import PauliString, SparseState, apply_to_state, matrix_element, multiply
 from corrqec.recovery import (
     DETECT_TOL,
@@ -15,21 +15,25 @@ from corrqec.recovery import (
     alternative_maximal_sets,
     build_recovery,
     correctable_set,
-    detectable_set,
     is_detectable,
     non_detectable_set,
     trace_preservation_deviation,
 )
 
-from corrqec.schemes import scheme_recovery
+from corrqec.schemes import BASE_SCHEMES, build_code, scheme_recovery
 
-from _oracles import dense_complement_basis, dense_state
+from _oracles import dense_complement_basis, dense_state, isclose
 
 CONCAT = concatenate(dfs2("bit"), bitflip3(), label="concat6")
 
 
 def channel_for(code, p=0.5, mu=0.5):
-    return model1_channel(ChannelParams(p=p, mu=mu, n=code.n, model=MODEL_I))
+    return build_channel(ChannelParams(p=p, mu=mu, n=code.n, model=MODEL_I))
+
+
+def detectable(code, channel):
+    """The channel's operators that are detectable on their own."""
+    return [op for op in channel.merged().paulis if is_detectable(code, op)]
 
 
 def test_detectability_examples():
@@ -44,7 +48,7 @@ def test_detectability_examples():
 
 def test_bit3_detectable_set():
     bits = bitflip3()
-    det = detectable_set(bits, channel_for(bits))
+    det = detectable(bits, channel_for(bits))
     assert len(det) == 7
     assert [op.x_mask for op in non_detectable_set(bits, channel_for(bits))] == [0b111]
 
@@ -61,7 +65,7 @@ def test_correctable_dfs2():
     code = dfs2("bit")
     corr = correctable_set(code, channel_for(code))
     assert [op.label() for op in corr] == ["I", "X1X2"]
-    det = detectable_set(code, channel_for(code))
+    det = detectable(code, channel_for(code))
     assert [op.x_mask for op in det] == [op.x_mask for op in corr]
 
 
@@ -95,7 +99,7 @@ def test_correctable_concat_operator_lists():
 def test_concat_non_detectable_pair():
     nondet = non_detectable_set(CONCAT, channel_for(CONCAT))
     assert [op.label() for op in nondet] == ["X1X2X3", "X4X5X6"]
-    assert len(detectable_set(CONCAT, channel_for(CONCAT))) == 62
+    assert len(detectable(CONCAT, channel_for(CONCAT))) == 62
 
 
 def test_correctable_set_ignores_parameters():
@@ -238,6 +242,35 @@ def test_complement_equals_the_dense_gram_schmidt(base, flavor):
     assert [r.amplitudes for r in rs.complement] == [r.amplitudes for r in reference]
 
 
+def test_scheme_recovery_builds_no_channel(monkeypatch):
+    # a cold scheme_recovery inside a traced request would otherwise add
+    # build_channel calls; its zero-weight support must still give the set
+    # that a weighted channel of either model gives
+    def members(ops):
+        return sorted((op.x_mask, op.z_mask, op.phase) for op in ops)
+
+    expected = {}
+    for base in BASE_SCHEMES:
+        for flavor in ("bit", "phase"):
+            code = build_code(base, flavor)
+            expected[base, flavor] = [
+                members(correctable_set(code, build_channel(
+                    ChannelParams(p=0.5, mu=0.5, n=code.n, flavor=flavor, model=model)
+                )))
+                for model in (MODEL_I, MODEL_II)
+            ]
+
+    def refuse(params):
+        raise AssertionError("scheme_recovery built a channel")
+
+    monkeypatch.setattr(channels, "build_channel", refuse)
+    monkeypatch.setattr(schemes, "build_channel", refuse, raising=False)
+    for (base, flavor), want in expected.items():
+        _, rs = schemes.scheme_recovery.__wrapped__(base, flavor)
+        got = members(op for rop in rs.ops for op in rop.members)
+        assert want == [got, got], (base, flavor)
+
+
 LEAVES = {
     "bit3": bitflip3(), "phase3": phaseflip3(), "dfs2": dfs2("bit"), "dfs2-phase": dfs2("phase"),
 }
@@ -254,12 +287,12 @@ def test_complement_of_concatenations(top, bottom, flavor):
     # the sparse and the dense sums run in different orders, so only rounding
     # may differ; the basis completes the syndrome spaces orthonormally
     code = concatenate(LEAVES[top], LEAVES[bottom])
-    support = model1_channel(ChannelParams(p=0.5, mu=0.5, n=code.n, flavor=flavor))
+    support = build_channel(ChannelParams(p=0.5, mu=0.5, n=code.n, flavor=flavor))
     rs = build_recovery(code, correctable_set(code, support))
     reference = dense_complement_basis(code.n, rs.ops)
     assert len(rs.complement) == len(reference) == (1 << code.n) - 2 * len(rs.ops)
     for got, want in zip(rs.complement, reference):
-        assert got.isclose(want, tol=1e-12)
+        assert isclose(got, want, tol=1e-12)
     for i, r in enumerate(rs.complement):
         for j, other in enumerate(rs.complement):
             assert abs(r.inner(other) - (i == j)) <= 1e-12
