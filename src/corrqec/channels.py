@@ -29,8 +29,7 @@ Model II's term list keeps Lambda_0 and Lambda_1 contributions as separate
 entries even when they carry the same Pauli (the identity, and for mu > 0
 the full flip); this unmerged list is the canonical decomposition consumed
 by the fidelity evaluator.  `NoiseChannel.merged()` returns the
-deduplicated view used for normalization checks and correctable-set
-derivation.
+deduplicated view that the model-mu0 check compares.
 """
 
 from __future__ import annotations

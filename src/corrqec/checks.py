@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .channels import MODEL_I, MODEL_II, ChannelParams, build_channel
+from .channels import MODEL_I, MODEL_II, ChannelParams, _flavored_strings, build_channel
 from .errors import ParameterError
 from .fidelity import (
     CLOSED_FORM_KEYS,
@@ -161,9 +161,8 @@ def correctable_census() -> SuiteResult:
     concat_census: dict[int, int] = {}
     for base, expected, expected_nondet in cases:
         code, rs = scheme_recovery(base, "bit")
-        channel = build_channel(ChannelParams(p=0.5, mu=0.5, n=code.n, model=MODEL_I))
         corr = [op for rop in rs.ops for op in rop.members]
-        nondet = non_detectable_set(code, channel)
+        nondet = non_detectable_set(code, _flavored_strings(code.n, "bit"))
         if masks(corr) != expected:
             problems.append(f"{base}: correctable masks differ")
         if masks(nondet) != expected_nondet:
@@ -306,13 +305,17 @@ def run_suites(
     inject: str | None = None,
 ) -> list[SuiteResult]:
     selected = names if names is not None else list(SUITES)
+    if not selected:
+        # no suite would run, so the run would pass having checked nothing
+        raise ParameterError("no verification suite selected")
+    for name in selected:
+        if name not in SUITES:
+            raise ParameterError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
     if inject is not None and "closed-form" not in selected:
         # no other suite reads the injected error, so the run would pass
         raise ParameterError("an injected error needs the closed-form suite")
     results = []
     for name in selected:
-        if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
         if name == "closed-form":
             results.append(closed_form_agreement(grid_steps, inject))
         else:

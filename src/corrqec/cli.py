@@ -9,7 +9,7 @@ import argparse
 import sys
 from functools import lru_cache
 
-from .channels import ChannelParams, build_channel
+from .channels import _flavored_strings
 from .errors import CapacityError, DimensionError, ParameterError
 from .fidelity import CLOSED_FORM_KEYS, SUITE_NAMES
 from .recovery import alternative_maximal_sets, non_detectable_set
@@ -179,24 +179,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_correctable(args: argparse.Namespace) -> int:
     base, flavor = resolve_scheme(args.scheme, args.flavor)
     code, rs = scheme_recovery(base, flavor)
-    # both models merge to the same 2^n Paulis, the support the recovery was derived on
-    channel = build_channel(
-        ChannelParams(p=0.5, mu=0.5, n=code.n, flavor=flavor, model=args.model)
-    ).merged()
+    # both models act through the same 2^n Paulis, the support the recovery was derived on
+    support = _flavored_strings(code.n, flavor)
     corr = [op for rop in rs.ops for op in rop.members]
-    nondet = non_detectable_set(code, channel)
-    alternatives = alternative_maximal_sets(code, channel)
+    nondet = non_detectable_set(code, support)
+    alternatives = alternative_maximal_sets(code, support)
 
     by_weight: dict[int, list[str]] = {}
     for op in corr:
         by_weight.setdefault(op.weight, []).append(op.label())
     print(f"scheme {args.scheme} ({flavor} flavor, model {args.model}): "
-          f"{code.n} qubits, {len(channel.paulis)} channel operators")
+          f"{code.n} qubits, {len(support)} channel operators")
     print(f"correctable set: {len(corr)} operators, weight census "
           f"{{{', '.join(f'{w}: {len(ops)}' for w, ops in sorted(by_weight.items()))}}}")
     for w, labels in sorted(by_weight.items()):
         print(f"  weight {w} ({len(labels)}): {' '.join(sorted(labels))}")
-    print(f"detectable set: {len(channel.paulis) - len(nondet)} operators")
+    print(f"detectable set: {len(support) - len(nondet)} operators")
     print(f"non-detectable ({len(nondet)}): {' '.join(op.label() for op in nondet)}")
     print(f"recovery operators: {len(rs.ops)}"
           + (f" + complement of dimension {len(rs.complement)}" if rs.complement else ""))

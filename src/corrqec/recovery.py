@@ -5,9 +5,9 @@ P_C A P_C is a scalar multiple of P_C, i.e.
 
     <0L|A|0L> = <1L|A|1L>  and  <0L|A|1L> = <1L|A|0L> = 0.
 
-A set of channel operators is *correctable* when every pairwise product
-A^dag A' is detectable (the Knill-Laflamme condition).  The maximal such
-subset is selected greedily over candidates sorted by ascending weight,
+A set of Paulis is *correctable* when every pairwise product A^dag A' is
+detectable (the Knill-Laflamme condition).  The maximal such subset of an
+operator support's distinct Paulis is selected greedily, ascending weight,
 then ascending x_mask and z_mask; this deterministic order reproduces the
 canonical 32-operator set for the 6-qubit concatenated code.
 
@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
-from .channels import NoiseChannel
 from .codes import QuantumCode
 from .errors import ContractViolationError, DimensionError, ParameterError
 from .pauli import Frozen, PauliString, SparseState, apply_to_state, matrix_element, multiply
@@ -107,15 +106,16 @@ def is_detectable(code: QuantumCode, op: PauliString) -> bool:
     return abs(m00 - m11) <= DETECT_TOL and abs(m01) <= DETECT_TOL and abs(m10) <= DETECT_TOL
 
 
-def _sorted_candidates(channel: NoiseChannel) -> list[PauliString]:
-    ops = [op for _, op in channel.merged().terms]
+def _sorted_candidates(paulis: Iterable[PauliString]) -> list[PauliString]:
+    """The distinct Paulis by (x_mask, z_mask, phase), in selection order."""
+    ops = list({(op.x_mask, op.z_mask, op.phase): op for op in paulis}.values())
     if not ops:
-        raise ParameterError("channel has no Kraus operators")
+        raise ParameterError("operator support is empty")
     return sorted(ops, key=lambda op: (op.weight, op.x_mask, op.z_mask, op.phase))
 
 
-def non_detectable_set(code: QuantumCode, channel: NoiseChannel) -> list[PauliString]:
-    return [op for op in _sorted_candidates(channel) if not is_detectable(code, op)]
+def non_detectable_set(code: QuantumCode, paulis: Iterable[PauliString]) -> list[PauliString]:
+    return [op for op in _sorted_candidates(paulis) if not is_detectable(code, op)]
 
 
 def _greedy(
@@ -146,17 +146,17 @@ def _greedy(
     return accepted
 
 
-def correctable_set(code: QuantumCode, channel: NoiseChannel) -> list[PauliString]:
-    """Maximal-by-greedy subset with all pairwise products detectable.
+def correctable_set(code: QuantumCode, paulis: Iterable[PauliString]) -> list[PauliString]:
+    """Maximal-by-greedy subset of ``paulis`` with all pairwise products detectable.
 
-    Zero-weight channel operators remain eligible, so the result depends on
-    the channel's operator support, not on (p, mu).
+    ``paulis`` is an operator support, such as a channel's ``paulis``: no
+    weight plays a part, and a repeated Pauli counts once.
     """
-    return _greedy(code, _sorted_candidates(channel))
+    return _greedy(code, _sorted_candidates(paulis))
 
 
 def alternative_maximal_sets(
-    code: QuantumCode, channel: NoiseChannel
+    code: QuantumCode, paulis: Iterable[PauliString]
 ) -> list[tuple[PauliString, ...]]:
     """Diagnostic: same-size correctable sets reachable under candidate reordering.
 
@@ -168,7 +168,7 @@ def alternative_maximal_sets(
     memo, so each distinct product is checked once.
     """
     import random  # imported here: only this diagnostic shuffles
-    candidates = _sorted_candidates(channel)
+    candidates = _sorted_candidates(paulis)
     known: dict[tuple[int, int], bool] = {}
     canonical = tuple(_greedy(code, candidates, known))
     by_weight: dict[int, list[PauliString]] = {}

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import codes
-from .channels import FLAVOR_BIT, FLAVOR_PHASE, NoiseChannel, _flavored_strings
+from .channels import FLAVOR_BIT, FLAVOR_PHASE, _flavored_strings
 from .codes import QuantumCode
 from .errors import ParameterError
 from .pauli import basis_state
@@ -80,14 +80,9 @@ def build_code(base: str, flavor: str) -> QuantumCode:
 def scheme_recovery(base: str, flavor: str) -> tuple[QuantumCode, RecoverySet]:
     """Code plus synthesized recovery for a scheme (cached).
 
-    The set is derived on the operator support alone, which is the full set
-    of X-strings (Z-strings) on n qubits for both models at any parameter
-    point: ``correctable_set`` keeps zero-weight operators eligible, so the
-    support carries zero weights and a request's ``build_channel`` calls are
-    its own points only.  The recovery operators' ``members`` partition the
-    correctable set, so every reader of the set takes it from here.
+    The set is derived on the operator support of both models, the X-strings
+    (Z-strings) on n qubits.  The recovery operators' ``members`` partition
+    the correctable set, so every reader of the set takes it from here.
     """
     code = build_code(base, flavor)
-    n = code.n
-    support = NoiseChannel(n, _flavored_strings(n, flavor), [0.0] * (1 << n))
-    return code, build_recovery(code, correctable_set(code, support))
+    return code, build_recovery(code, correctable_set(code, _flavored_strings(code.n, flavor)))

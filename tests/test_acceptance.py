@@ -48,8 +48,8 @@ def test_criterion_2_correctable_set_reproduction():
     assert result.passed, result.detail
 
     code, _ = scheme_recovery("concat6", "bit")
-    channel = build_channel(ChannelParams(p=0.5, mu=0.5, n=6, model=MODEL_I))
-    corr = correctable_set(code, channel)
+    support = build_channel(ChannelParams(p=0.5, mu=0.5, n=6, model=MODEL_I)).paulis
+    corr = correctable_set(code, support)
     assert len(corr) == 32
     census = {}
     for op in corr:
@@ -71,7 +71,7 @@ def test_criterion_2_correctable_set_reproduction():
         | {"X1X2X3X4X5X6"}
     )
     assert labels == expected
-    nondet = non_detectable_set(code, channel)
+    nondet = non_detectable_set(code, support)
     assert {op.x_mask for op in nondet} == set(CONCAT6_NON_DETECTABLE_MASKS)
     assert [op.label() for op in nondet] == ["X1X2X3", "X4X5X6"]
     report(2, "correctable-set reproduction", f"32 operators, census {census}")

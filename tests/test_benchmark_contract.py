@@ -183,7 +183,11 @@ def test_probe_reads_the_recovery_set():
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["recovery_ops"] == ops, pair
+        probe = json.loads(proc.stdout)
+        assert probe["recovery_ops"] == ops, pair
+        # the probe times the two layers through the schemes module's bindings;
+        # a cold derivation that bypassed them would read 0 s
+        assert probe["correctable_set_s"] > 0 and probe["build_recovery_s"] > 0, pair
 
 
 def test_benchmark_selftest_passes():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from corrqec import checks, cli, sweep
+from corrqec import channels, checks, cli, sweep
 from corrqec.channels import MODEL_II, ChannelParams, NoiseChannel, build_channel
 from corrqec.checks import closed_form_agreement, flavor_symmetry
 from corrqec.codes import concatenate, dfs2, phaseflip3
@@ -276,6 +276,21 @@ def test_inject_error_needs_the_closed_form_suite(capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def test_run_suites_refuses_an_unknown_suite(monkeypatch):
+    ran = []
+    monkeypatch.setitem(checks.SUITES, "endpoints", lambda: ran.append("endpoints"))
+    with pytest.raises(ParameterError, match="'no-such-suite'"):
+        checks.run_suites(["endpoints", "no-such-suite"], grid_steps=2)
+    # refused before any suite runs
+    assert ran == []
+
+
+def test_run_suites_refuses_an_empty_selection():
+    # running no suite would report "all 0 suite(s) passed" having checked nothing
+    with pytest.raises(ParameterError, match="no verification suite"):
+        checks.run_suites([], grid_steps=2)
+
+
 def test_sparse_dense_suite_fails_when_the_kernel_is_off(capsys, monkeypatch):
     real = checks.entanglement_fidelity_corrected
     monkeypatch.setattr(
@@ -310,11 +325,12 @@ def test_correctable_listing(capsys):
     assert "complement of dimension 2" in out
 
 
-@pytest.mark.parametrize(
-    "scheme", ["bit3", "dfs2", "concat6", "unencoded", "phase3", "dfs2-phase", "concat6-phase"]
-)
+SCHEME_NAMES = ("bit3", "dfs2", "concat6", "unencoded", "phase3", "dfs2-phase", "concat6-phase")
+
+
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
 def test_correctable_listing_is_the_same_under_both_models(capsys, scheme):
-    # model 2 merges to the same 2^n Paulis as model 1, the support of the recovery
+    # both models act through the same 2^n Paulis, the support of the recovery
     code, one, _ = run_cli(capsys, "correctable", "--scheme", scheme, "--model", "1")
     assert code == 0
     code, two, _ = run_cli(capsys, "correctable", "--scheme", scheme, "--model", "2")
@@ -323,6 +339,25 @@ def test_correctable_listing_is_the_same_under_both_models(capsys, scheme):
     head_two, rest_two = two.split("\n", 1)
     assert head_one.replace(", model 1)", ", model 2)") == head_two != head_one
     assert rest_one == rest_two
+
+
+def test_the_listing_and_the_suite_build_no_channel(capsys, monkeypatch):
+    # both read the flavor's 2^n strings, the support the recovery was derived on
+    requests = [
+        ("correctable", "--scheme", scheme, "--model", model)
+        for scheme in SCHEME_NAMES
+        for model in ("1", "2")
+    ]
+    requests.append(("verify", "--suite", "correctable"))
+    today = [run_cli(capsys, *argv) for argv in requests]
+    assert all(code == 0 for code, _, _ in today)
+
+    def refuse(params):
+        raise AssertionError("a channel was built")
+
+    for module in (channels, checks, cli):
+        monkeypatch.setattr(module, "build_channel", refuse, raising=False)
+    assert [run_cli(capsys, *argv) for argv in requests] == today
 
 
 def test_correctable_suite_fails_on_a_recovery_missing_an_operator(capsys, monkeypatch):
@@ -614,7 +649,7 @@ def test_flavor_symmetry_suite_fails_on_a_wrong_phase_code(capsys, monkeypatch):
     # |+++--->/|---+++> is not the Hadamard mirror of the bit-flavor concat6
     # code: at p=0.2, mu=0.4 (model 1) its fidelity is 0.882 against 0.758
     wrong = concatenate(dfs2("phase"), phaseflip3())
-    support = build_channel(ChannelParams(p=0.5, mu=0.5, n=6, flavor="phase"))
+    support = build_channel(ChannelParams(p=0.5, mu=0.5, n=6, flavor="phase")).paulis
     wrong_rs = build_recovery(wrong, correctable_set(wrong, support))
     real = checks.scheme_recovery
 

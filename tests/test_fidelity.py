@@ -380,7 +380,7 @@ def test_recovery_members_partition_the_correctable_set():
     # error strings the recovery operators map back
     for base in ("bit3", "dfs2", "concat6"):
         code, members = correctable_members(base)
-        correctable = correctable_set(code, channel(MODEL_I, code.n, 0.5, 0.5))
+        correctable = correctable_set(code, channel(MODEL_I, code.n, 0.5, 0.5).paulis)
         assert len(members) == len(correctable) == len(set(correctable))
         assert set(members) == set(correctable)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from corrqec import channels, recovery, schemes
-from corrqec.channels import MODEL_I, MODEL_II, ChannelParams, NoiseChannel, build_channel
+from corrqec.channels import MODEL_I, MODEL_II, ChannelParams, build_channel
 from corrqec.codes import bitflip3, concatenate, dfs2, pattern_state, phaseflip3
 from corrqec.errors import ContractViolationError, ParameterError
 from corrqec.pauli import PauliString, SparseState, apply_to_state, matrix_element, multiply
@@ -27,13 +27,15 @@ from _oracles import dense_complement_basis, dense_state, isclose
 CONCAT = concatenate(dfs2("bit"), bitflip3(), label="concat6")
 
 
-def channel_for(code, p=0.5, mu=0.5):
-    return build_channel(ChannelParams(p=p, mu=mu, n=code.n, model=MODEL_I))
+def support_for(code, flavor="bit"):
+    """The 2^n X-strings (Z-strings) on the code's qubits, by mask: both models' support."""
+    make = PauliString.x_string if flavor == "bit" else PauliString.z_string
+    return tuple(make(code.n, m) for m in range(1 << code.n))
 
 
-def detectable(code, channel):
-    """The channel's operators that are detectable on their own."""
-    return [op for op in channel.merged().paulis if is_detectable(code, op)]
+def detectable(code, support):
+    """The support's operators that are detectable on their own."""
+    return [op for op in support if is_detectable(code, op)]
 
 
 def test_detectability_examples():
@@ -48,14 +50,14 @@ def test_detectability_examples():
 
 def test_bit3_detectable_set():
     bits = bitflip3()
-    det = detectable(bits, channel_for(bits))
+    det = detectable(bits, support_for(bits))
     assert len(det) == 7
-    assert [op.x_mask for op in non_detectable_set(bits, channel_for(bits))] == [0b111]
+    assert [op.x_mask for op in non_detectable_set(bits, support_for(bits))] == [0b111]
 
 
 def test_correctable_bit3():
     bits = bitflip3()
-    corr = correctable_set(bits, channel_for(bits))
+    corr = correctable_set(bits, support_for(bits))
     assert [op.x_mask for op in corr] == [0b000, 0b001, 0b010, 0b100]
     assert [op.label() for op in corr] == ["I", "X1", "X2", "X3"]
     assert corr[1] == PauliString(3, x_mask=0b001, z_mask=0, phase=0)
@@ -63,14 +65,14 @@ def test_correctable_bit3():
 
 def test_correctable_dfs2():
     code = dfs2("bit")
-    corr = correctable_set(code, channel_for(code))
+    corr = correctable_set(code, support_for(code))
     assert [op.label() for op in corr] == ["I", "X1X2"]
-    det = detectable(code, channel_for(code))
+    det = detectable(code, support_for(code))
     assert [op.x_mask for op in det] == [op.x_mask for op in corr]
 
 
 def test_correctable_concat_operator_lists():
-    corr = correctable_set(CONCAT, channel_for(CONCAT))
+    corr = correctable_set(CONCAT, support_for(CONCAT))
     assert len(corr) == 32
     by_weight = {}
     for op in corr:
@@ -97,27 +99,34 @@ def test_correctable_concat_operator_lists():
 
 
 def test_concat_non_detectable_pair():
-    nondet = non_detectable_set(CONCAT, channel_for(CONCAT))
+    nondet = non_detectable_set(CONCAT, support_for(CONCAT))
     assert [op.label() for op in nondet] == ["X1X2X3", "X4X5X6"]
-    assert len(detectable(CONCAT, channel_for(CONCAT))) == 62
+    assert len(detectable(CONCAT, support_for(CONCAT))) == 62
 
 
-def test_correctable_set_ignores_parameters():
-    bits = bitflip3()
-    at_half = [op.x_mask for op in correctable_set(bits, channel_for(bits))]
-    at_zero = [op.x_mask for op in correctable_set(bits, channel_for(bits, p=0.0, mu=0.0))]
-    at_one = [op.x_mask for op in correctable_set(bits, channel_for(bits, p=1.0, mu=1.0))]
-    assert at_half == at_zero == at_one
+@pytest.mark.parametrize("flavor", ["bit", "phase"])
+@pytest.mark.parametrize("base", BASE_SCHEMES)
+def test_repeated_paulis_in_the_support_count_once(base, flavor):
+    # model II's builder tuple repeats the identity and the full flip after
+    # the 2^n strings; an identity accepted twice would change every set
+    code = build_code(base, flavor)
+    strings = support_for(code, flavor)
+    repeated = build_channel(
+        ChannelParams(p=0.5, mu=0.5, n=code.n, flavor=flavor, model=MODEL_II)
+    ).paulis
+    assert repeated == strings + (strings[0], strings[-1])
+    for derive in (correctable_set, non_detectable_set, alternative_maximal_sets):
+        assert derive(code, repeated) == derive(code, strings), derive.__name__
 
 
 def test_correctable_set_empty_channel():
     with pytest.raises(ParameterError):
-        correctable_set(bitflip3(), NoiseChannel(3, (), []))
+        correctable_set(bitflip3(), ())
 
 
 def test_build_recovery_bit3():
     bits = bitflip3()
-    rs = build_recovery(bits, correctable_set(bits, channel_for(bits)))
+    rs = build_recovery(bits, correctable_set(bits, support_for(bits)))
     assert len(rs.ops) == 4 and not rs.complement
     # R2 = |0L><100| + |1L><011|; |100> -> index 1, |011> -> index 6
     assert rs.ops[1].v0.amplitudes == {1: 1}
@@ -127,7 +136,7 @@ def test_build_recovery_bit3():
 
 def test_build_recovery_dfs2_degenerate():
     code = dfs2("bit")
-    rs = build_recovery(code, correctable_set(code, channel_for(code)))
+    rs = build_recovery(code, correctable_set(code, support_for(code)))
     assert len(rs.ops) == 1
     assert [m.label() for m in rs.ops[0].members] == ["I", "X1X2"]
     # v0 = I|0L> = |+->: amplitude 1/2 on |00> and on |10> (index 1)
@@ -146,7 +155,7 @@ def test_build_recovery_dfs2_degenerate():
 def test_build_recovery_concat_pairs_complementary_masks():
     # the full flip acts as -1 on the code space, so every correctable S is
     # degenerate with its complement ~S: 32 operators, 16 syndrome subspaces
-    rs = build_recovery(CONCAT, correctable_set(CONCAT, channel_for(CONCAT)))
+    rs = build_recovery(CONCAT, correctable_set(CONCAT, support_for(CONCAT)))
     assert len(rs.ops) == 16
     assert len(rs.complement) == 32
     for rop in rs.ops:
@@ -159,20 +168,20 @@ def test_build_recovery_concat_pairs_complementary_masks():
 
 @pytest.mark.parametrize("code", [bitflip3(), dfs2("bit"), dfs2("phase"), CONCAT])
 def test_trace_preservation(code):
-    rs = build_recovery(code, correctable_set(code, channel_for(code)))
+    rs = build_recovery(code, correctable_set(code, support_for(code)))
     assert trace_preservation_deviation(rs) <= DETECT_TOL
 
 
 def test_trace_preservation_fails_with_missing_operator():
     bits = bitflip3()
-    rs = build_recovery(bits, correctable_set(bits, channel_for(bits)))
+    rs = build_recovery(bits, correctable_set(bits, support_for(bits)))
     broken = RecoverySet(rs.code, rs.ops[:-1], rs.complement)
     assert trace_preservation_deviation(broken) > 0.5
 
 
 def test_syndrome_states_orthonormal():
     for code in (bitflip3(), dfs2("bit"), CONCAT):
-        rs = build_recovery(code, correctable_set(code, channel_for(code)))
+        rs = build_recovery(code, correctable_set(code, support_for(code)))
         states = [s for op in rs.ops for s in (op.v0, op.v1)] + list(rs.complement)
         for i, a in enumerate(states):
             for j, b in enumerate(states):
@@ -182,7 +191,7 @@ def test_syndrome_states_orthonormal():
 
 def test_alpha_matrix_structure():
     def alpha(code):
-        corr = correctable_set(code, channel_for(code))
+        corr = correctable_set(code, support_for(code))
         return corr, np.array(
             [
                 [
@@ -217,7 +226,7 @@ def test_alpha_matrix_structure():
 
 def test_recovery_corrects_each_member():
     for code in (bitflip3(), dfs2("bit"), CONCAT):
-        rs = build_recovery(code, correctable_set(code, channel_for(code)))
+        rs = build_recovery(code, correctable_set(code, support_for(code)))
         for k, rop in enumerate(rs.ops):
             for member in rop.members:
                 y0 = apply_to_state(member, code.logical_zero)
@@ -244,8 +253,8 @@ def test_complement_equals_the_dense_gram_schmidt(base, flavor):
 
 def test_scheme_recovery_builds_no_channel(monkeypatch):
     # a cold scheme_recovery inside a traced request would otherwise add
-    # build_channel calls; its zero-weight support must still give the set
-    # that a weighted channel of either model gives
+    # build_channel calls; its support must still give the set that the
+    # Paulis of either model's channel give
     def members(ops):
         return sorted((op.x_mask, op.z_mask, op.phase) for op in ops)
 
@@ -256,7 +265,7 @@ def test_scheme_recovery_builds_no_channel(monkeypatch):
             expected[base, flavor] = [
                 members(correctable_set(code, build_channel(
                     ChannelParams(p=0.5, mu=0.5, n=code.n, flavor=flavor, model=model)
-                )))
+                ).paulis))
                 for model in (MODEL_I, MODEL_II)
             ]
 
@@ -287,8 +296,7 @@ def test_complement_of_concatenations(top, bottom, flavor):
     # the sparse and the dense sums run in different orders, so only rounding
     # may differ; the basis completes the syndrome spaces orthonormally
     code = concatenate(LEAVES[top], LEAVES[bottom])
-    support = build_channel(ChannelParams(p=0.5, mu=0.5, n=code.n, flavor=flavor))
-    rs = build_recovery(code, correctable_set(code, support))
+    rs = build_recovery(code, correctable_set(code, support_for(code, flavor)))
     reference = dense_complement_basis(code.n, rs.ops)
     assert len(rs.complement) == len(reference) == (1 << code.n) - 2 * len(rs.ops)
     for got, want in zip(rs.complement, reference):
@@ -302,7 +310,7 @@ def test_complement_of_concatenations(top, bottom, flavor):
 
 def test_recovery_set_refuses_a_complement_overlapping_the_code():
     code = dfs2("bit")
-    rs = build_recovery(code, correctable_set(code, channel_for(code)))
+    rs = build_recovery(code, correctable_set(code, support_for(code)))
     zero = code.logical_zero.amplitudes
 
     def tilted(eps):
@@ -336,17 +344,17 @@ def test_alternative_maximal_sets_diagnostic():
     # equal-size maximal sets exist for bit3 (e.g. I, X1, X1X2, X1X3) but the
     # canonical greedy result never changes
     bits = bitflip3()
-    alts = alternative_maximal_sets(bits, channel_for(bits))
+    alts = alternative_maximal_sets(bits, support_for(bits))
     assert len(alts) >= 1
     for alt in alts:
         assert len(alt) == 4
         masks = {op.x_mask for op in alt}
         assert masks != {0b000, 0b001, 0b010, 0b100}
-    corr = correctable_set(bits, channel_for(bits))
+    corr = correctable_set(bits, support_for(bits))
     assert [op.x_mask for op in corr] == [0b000, 0b001, 0b010, 0b100]
     # the degenerate pair for the noiseless two-qubit code is unique
     code = dfs2("bit")
-    assert alternative_maximal_sets(code, channel_for(code)) == []
+    assert alternative_maximal_sets(code, support_for(code)) == []
 
 
 def unmemoized_greedy(code, candidates, known=None):
@@ -361,7 +369,7 @@ def unmemoized_greedy(code, candidates, known=None):
 
 
 def test_alternatives_check_each_distinct_product_once(monkeypatch):
-    channel = channel_for(CONCAT)
+    support = support_for(CONCAT)
     checked = Counter()
 
     def counting(code, op):
@@ -369,9 +377,9 @@ def test_alternatives_check_each_distinct_product_once(monkeypatch):
         return is_detectable(code, op)
 
     monkeypatch.setattr(recovery, "is_detectable", counting)
-    alts = alternative_maximal_sets(CONCAT, channel)
+    alts = alternative_maximal_sets(CONCAT, support)
     assert len(checked) == 64 and max(checked.values()) == 1
     monkeypatch.setattr(recovery, "_greedy", unmemoized_greedy)
     # the memo changes no set and no order
-    assert alternative_maximal_sets(CONCAT, channel) == alts
+    assert alternative_maximal_sets(CONCAT, support) == alts
     assert len(alts) == 8
