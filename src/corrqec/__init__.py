@@ -17,7 +17,6 @@ from .codes import (
     hadamard_conjugate_code,
     hadamard_transform,
     pattern_state,
-    phaseflip3,
 )
 from .errors import (
     CapacityError,

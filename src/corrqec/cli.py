@@ -1,11 +1,12 @@
 """Command-line front end: fidelity sweeps, thresholds, verification, listings.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout closed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import lru_cache
 
@@ -27,6 +28,7 @@ from .sweep import (
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
+BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a piped command
 
 # bad input, reported as one line and exit code USAGE_ERROR
 INPUT_ERRORS = (ParameterError, CapacityError, DimensionError)
@@ -92,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     cor = sub.add_parser("correctable", help="list correctable/detectable operators")
     cor.add_argument("--scheme", required=True,
                      help="one scheme name (bit3, dfs2, concat6, or a phase alias)")
-    cor.add_argument("--model", type=int, choices=(1, 2), default=1)
     cor.add_argument("--flavor", choices=("bit", "phase"), default=None)
 
     return parser
@@ -188,7 +189,7 @@ def _cmd_correctable(args: argparse.Namespace) -> int:
     by_weight: dict[int, list[str]] = {}
     for op in corr:
         by_weight.setdefault(op.weight, []).append(op.label())
-    print(f"scheme {args.scheme} ({flavor} flavor, model {args.model}): "
+    print(f"scheme {args.scheme} ({flavor} flavor): "
           f"{code.n} qubits, {len(support)} channel operators")
     print(f"correctable set: {len(corr)} operators, weight census "
           f"{{{', '.join(f'{w}: {len(ops)}' for w, ops in sorted(by_weight.items()))}}}")
@@ -212,10 +213,18 @@ def main(argv: list[str] | None = None) -> int:
         "correctable": _cmd_correctable,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        # a closed stdout must show here, not in the interpreter's last flush
+        sys.stdout.flush()
+        return status
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # nobody reads the rest: send it to os.devnull so the exit flush succeeds
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -2,23 +2,25 @@
 
 Codes in scope encode one logical qubit:
 
-* ``bitflip3``   -- |0L> = |000>,  |1L> = |111>
-* ``phaseflip3`` -- |0L> = |+++>,  |1L> = |--->
-* ``dfs2``       -- bit flavor |0L> = |+->, |1L> = |-+>; phase flavor
-                    |0L> = |01>, |1L> = |10> (a noiseless pair for
-                    perfectly correlated flips)
+* ``bitflip3`` -- |0L> = |000>, |1L> = |111>
+* ``dfs2``     -- |0L> = |+->, |1L> = |-+> (a noiseless pair for
+                  perfectly correlated flips)
 * ``concatenate(top, bottom)`` -- substitute bottom's codewords for the
   physical-qubit basis values in top's codewords.  Top-code qubit j
   occupies the contiguous block of bottom-code qubits
   [j*n_bottom, (j+1)*n_bottom), so with a 2-qubit top code and a 3-qubit
   bottom code the labels X1..X3 address the first top qubit's block.
 
-The 6-qubit code used throughout is ``concatenate(dfs2("bit"), bitflip3())``:
+The 6-qubit code used throughout is ``concatenate(dfs2(), bitflip3())``:
 
     |0L> = (|000000> - |000111> + |111000> - |111111>) / 2
     |1L> = (|000000> + |000111> - |111000> - |111111>) / 2
 
 written with qubit 1 leftmost (least significant index bit).
+
+These are bit-flavor codes.  A code's phase flavor is its
+``hadamard_conjugate_code`` (|+++>, |---> for ``bitflip3``): H on every
+qubit turns each X-string into the Z-string on the same qubits.
 """
 
 from __future__ import annotations
@@ -83,16 +85,8 @@ def bitflip3() -> QuantumCode:
     return QuantumCode(3, basis_state(3, 0b000), basis_state(3, 0b111), "bit3")
 
 
-def phaseflip3() -> QuantumCode:
-    return QuantumCode(3, pattern_state("+++"), pattern_state("---"), "phase3")
-
-
-def dfs2(flavor: str = "bit") -> QuantumCode:
-    if flavor == "bit":
-        return QuantumCode(2, pattern_state("+-"), pattern_state("-+"), "dfs2")
-    if flavor == "phase":
-        return QuantumCode(2, pattern_state("01"), pattern_state("10"), "dfs2-phase")
-    raise ParameterError(f"flavor must be 'bit' or 'phase', got {flavor!r}")
+def dfs2() -> QuantumCode:
+    return QuantumCode(2, pattern_state("+-"), pattern_state("-+"), "dfs2")
 
 
 def concatenate(top: QuantumCode, bottom: QuantumCode, label: str | None = None) -> QuantumCode:
@@ -138,11 +132,11 @@ def hadamard_transform(state: SparseState) -> SparseState:
     return SparseState(n, out)
 
 
-def hadamard_conjugate_code(code: QuantumCode, label: str | None = None) -> QuantumCode:
+def hadamard_conjugate_code(code: QuantumCode) -> QuantumCode:
     """The code with both codewords rotated by H on every qubit."""
     return QuantumCode(
         code.n,
         hadamard_transform(code.logical_zero),
         hadamard_transform(code.logical_one),
-        label if label is not None else f"H[{code.label}]",
+        f"H[{code.label}]",
     )

@@ -7,9 +7,11 @@ synthesis and test coverage.  Scheme names accepted on the command line:
                                            flavor ('bit' default, 'phase')
     phase3, dfs2-phase, concat6-phase   -- aliases forcing the phase flavor
 
-The bare qubit is the trivial one-qubit code |0>, |1> in both flavors: its
-code space is the whole qubit, its correctable set the identity alone, and
-its recovery one isometry with no complement.
+A phase-flavor code is its bit-flavor code rotated by H on every qubit
+(``codes.hadamard_conjugate_code``), except the bare qubit: the trivial
+one-qubit code |0>, |1> in both flavors, whose code space is the whole
+qubit, correctable set the identity alone, and recovery one isometry with
+no complement.
 
 The correctable set, and hence the recovery structure, depends only on the
 code and the channel's operator support, never on (p, mu); both are
@@ -54,26 +56,19 @@ def resolve_scheme(name: str, flavor: str | None = None) -> tuple[str, str]:
 
 
 def build_code(base: str, flavor: str) -> QuantumCode:
-    """Codewords for a base scheme."""
+    """Codewords for a base scheme: the phase flavor is the bit flavor rotated by H."""
     if base == "bit3":
-        return codes.bitflip3() if flavor == FLAVOR_BIT else codes.phaseflip3()
-    if base == "dfs2":
-        return codes.dfs2(flavor)
-    if base == "concat6":
-        if flavor == FLAVOR_BIT:
-            return codes.concatenate(codes.dfs2("bit"), codes.bitflip3(), label="concat6")
-        # Conjugation acts on the physical qubits, so the phase-flavor code
-        # keeps the bit-flavor expansion coefficients at the top level and
-        # substitutes the phase-flip block pair: this equals the bit-flavor
-        # code rotated by H on every qubit, which mirrors the Z-string noise
-        # exactly.  Substituting phase codewords into the phase-flavor pair
-        # |01>/|10> instead yields |+++--->/|---+++>, whose protection under
-        # Z-strings is not equivalent (it loses the degenerate pairing).
-        return codes.concatenate(codes.dfs2("bit"), codes.phaseflip3(), label="concat6-phase")
-    if base == "unencoded":
+        code = codes.bitflip3()
+    elif base == "dfs2":
+        code = codes.dfs2()
+    elif base == "concat6":
+        code = codes.concatenate(codes.dfs2(), codes.bitflip3(), label="concat6")
+    elif base == "unencoded":
         # the whole qubit is the code space, so the flavor changes nothing
         return QuantumCode(1, basis_state(1, 0), basis_state(1, 1), "unencoded")
-    raise ParameterError(f"unknown base scheme {base!r}")
+    else:
+        raise ParameterError(f"unknown base scheme {base!r}")
+    return codes.hadamard_conjugate_code(code) if flavor == FLAVOR_PHASE else code
 
 
 @lru_cache(maxsize=None)

@@ -30,6 +30,9 @@ factor looked up per element; the four-comprehension one must equal it.
 amplitude; ``hadamard_conjugate`` and ``phase_flavor`` map a Pauli and a
 channel through H on every qubit, so the phase flavor the builder makes
 directly can be checked against the conjugated bit flavor.
+``pattern_code`` writes a code down from its two product-state patterns,
+so the phase-flavor codes, which the library derives by rotating the
+bit-flavor ones, have references that take no rotation.
 """
 
 import json
@@ -41,6 +44,7 @@ from corrqec import roots
 from corrqec.errors import ContractViolationError
 from corrqec.fidelity import ThresholdPoint, closed_form, evaluate
 from corrqec.channels import NoiseChannel
+from corrqec.codes import QuantumCode, pattern_state
 from corrqec.pauli import PauliString, SparseState, apply_to_state
 from corrqec.recovery import recovery_dense
 from corrqec.sweep import fmt_float
@@ -394,3 +398,8 @@ def phase_flavor(channel):
     """Hadamard-conjugate every Kraus operator; weights unchanged."""
     paulis = tuple(hadamard_conjugate(op) for op in channel.paulis)
     return NoiseChannel(channel.n, paulis, channel.weights)
+
+
+def pattern_code(zero, one):
+    """The code with codewords ``pattern_state(zero)`` and ``pattern_state(one)``."""
+    return QuantumCode(len(zero), pattern_state(zero), pattern_state(one), f"{zero}/{one}")

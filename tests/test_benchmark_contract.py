@@ -47,14 +47,6 @@ def test_every_traced_name_resolves_to_a_callable(bench):
         assert callable(getattr(module, attr, None)), f"{name}: {module.__name__}.{attr}"
 
 
-# exported although nothing in src/ calls them: the derivation beyond the
-# registry (ROADMAP item 6) rotates codes with them
-UNCALLED_EXPORTS = {
-    "hadamard_conjugate_code": "maps a code to its phase-flavor image for item 6",
-    "hadamard_transform": "the state rotation hadamard_conjugate_code applies",
-}
-
-
 def _names_used_outside_their_definition(path):
     """Names a module loads, or reads as attributes, outside the def or class of that name."""
     used = set()
@@ -104,7 +96,7 @@ def test_every_export_has_a_caller_in_the_package(bench):
         if path.name != "__init__.py":
             used |= _names_used_outside_their_definition(path)
     traced = {attr for _, _, attr, _ in tracer.span_table()}
-    assert [name for name in exported if name not in used | traced | UNCALLED_EXPORTS.keys()] == []
+    assert [name for name in exported if name not in used | traced] == []
 
 
 def test_traced_request_gives_the_expected_calls(bench):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,6 @@ import pytest
 from corrqec import channels, checks, cli, sweep
 from corrqec.channels import MODEL_II, ChannelParams, NoiseChannel, build_channel
 from corrqec.checks import closed_form_agreement, flavor_symmetry
-from corrqec.codes import concatenate, dfs2, phaseflip3
 from corrqec.cli import main
 from corrqec.errors import CapacityError, DimensionError, ParameterError
 from corrqec.fidelity import SUITE_NAMES, evaluate, threshold_mu
@@ -25,6 +25,13 @@ from corrqec.sweep import (
     run_sweep,
     run_threshold,
 )
+
+from _oracles import pattern_code
+
+
+def child_env():
+    """The environment of a child interpreter that imports this checkout's corrqec."""
+    return {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
 
 
 def run_cli(capsys, *argv):
@@ -328,26 +335,48 @@ def test_correctable_listing(capsys):
 SCHEME_NAMES = ("bit3", "dfs2", "concat6", "unencoded", "phase3", "dfs2-phase", "concat6-phase")
 
 
-@pytest.mark.parametrize("scheme", SCHEME_NAMES)
-def test_correctable_listing_is_the_same_under_both_models(capsys, scheme):
-    # both models act through the same 2^n Paulis, the support of the recovery
-    code, one, _ = run_cli(capsys, "correctable", "--scheme", scheme, "--model", "1")
+def test_correctable_takes_no_model(capsys):
+    # both models act through the same 2^n Paulis, the support of the recovery,
+    # so a listing has no model to name
+    code, out, _ = run_cli(capsys, "correctable", "--scheme", "concat6")
     assert code == 0
-    code, two, _ = run_cli(capsys, "correctable", "--scheme", scheme, "--model", "2")
-    assert code == 0
-    head_one, rest_one = one.split("\n", 1)
-    head_two, rest_two = two.split("\n", 1)
-    assert head_one.replace(", model 1)", ", model 2)") == head_two != head_one
-    assert rest_one == rest_two
+    assert out.splitlines()[0] == "scheme concat6 (bit flavor): 6 qubits, 64 channel operators"
+    with pytest.raises(SystemExit) as exc:
+        main(["correctable", "--scheme", "concat6", "--model", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --model 1" in capsys.readouterr().err
+
+
+# SHA-256 of each listing's stdout: no benchmark digest covers this command
+CORRECTABLE_DIGESTS = {
+    ("bit3",): "03fb5ae22e02f7039a372f842437af56cd8843f2f7ba1037195e1ec35595202a",
+    ("dfs2",): "5cbe72dfaaee0eba343354515a1087e16db0535ff05b4b62a9418146fa753285",
+    ("concat6",): "55f1a0c75711bb7db7d79f06d02914c1d472447ec49f83a4c13c6e7e64e88995",
+    ("unencoded",): "a6eff9810959e6742938c3b8f89ff592adc10ae1d742af573a5b4877f477b95e",
+    ("phase3",): "a2019142d211d5ed8722658181f38af69febde24d79e278755721fa5958c4d4c",
+    ("dfs2-phase",): "0e7c02756ce07d4c23b3f467fed44c63dacf061df206467bf62068f634fc7b9f",
+    ("concat6-phase",): "e1aae219e67b9001d3ed63f6967f7d553bcbda0c04d70c5cfe2da1952cec0070",
+    ("bit3", "--flavor", "phase"):
+        "f98f9cb2c14f5cc670c1e8069e2520429cafca028bcb5e793c34bc36bd93f665",
+    ("dfs2", "--flavor", "phase"):
+        "d8072dc3f0b0e5fa79bd8c5fc33c6480ee074914869680fbc5542fe94b06e39e",
+    ("concat6", "--flavor", "phase"):
+        "62f0641cc9a0a5150bd861ff352456d9de9e5d375b330bdf02f5d0e08c9263ce",
+    ("unencoded", "--flavor", "phase"):
+        "6a3a395e3a0e224cfaf78b3770b3b1df8c84381661952d75459fde3d235e45da",
+}
+
+
+@pytest.mark.parametrize("scheme", list(CORRECTABLE_DIGESTS), ids=" ".join)
+def test_correctable_listing_is_pinned(capsys, scheme):
+    code, out, err = run_cli(capsys, "correctable", "--scheme", *scheme)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == CORRECTABLE_DIGESTS[scheme]
 
 
 def test_the_listing_and_the_suite_build_no_channel(capsys, monkeypatch):
     # both read the flavor's 2^n strings, the support the recovery was derived on
-    requests = [
-        ("correctable", "--scheme", scheme, "--model", model)
-        for scheme in SCHEME_NAMES
-        for model in ("1", "2")
-    ]
+    requests = [("correctable", "--scheme", scheme) for scheme in SCHEME_NAMES]
     requests.append(("verify", "--suite", "correctable"))
     today = [run_cli(capsys, *argv) for argv in requests]
     assert all(code == 0 for code, _, _ in today)
@@ -403,10 +432,9 @@ print(len(calls))
 def test_each_correctable_set_is_derived_once_per_process():
     # threshold derives the four bit-flavor sets; the correctable suite reads
     # three of them back from the cached recoveries instead of deriving them again
-    src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-S", "-c", GREEDY_COUNT_SCRIPT],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "4\n"
@@ -427,7 +455,7 @@ def test_correctable_lists_the_trivial_set_for_unencoded(capsys):
         assert code == 0 and err == ""
         lines = out.splitlines()
         assert lines[0] == (
-            f"scheme unencoded ({flavor} flavor, model 1): 1 qubits, 2 channel operators"
+            f"scheme unencoded ({flavor} flavor): 1 qubits, 2 channel operators"
         )
         assert lines[1:7] == [
             "correctable set: 1 operators, weight census {0: 1}",
@@ -439,11 +467,31 @@ def test_correctable_lists_the_trivial_set_for_unencoded(capsys):
         ]
 
 
+CLOSED_STDOUT_REQUESTS = {
+    "fidelity": ("--model", "2", "--scheme", "concat6", "--p", "0.1", "--mu-range", "0:1:101"),
+    "threshold": ("--model", "1", "--scheme", "concat6", "--p", "0.1"),
+    "verify": ("--suite", "endpoints"),
+    "correctable": ("--scheme", "concat6"),
+}
+
+
+@pytest.mark.parametrize("command", CLOSED_STDOUT_REQUESTS)
+def test_a_closed_stdout_exits_141_without_a_traceback(command):
+    # the reader is gone before the child writes, as in `corrqec ... | head -0`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "corrqec.cli", command, *CLOSED_STDOUT_REQUESTS[command]],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "corrqec.cli", "fidelity", "--model", "1",
          "--scheme", "bit3", "--p", "0.1", "--mu", "0"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == CSV_HEADER
@@ -470,13 +518,13 @@ def test_fidelity_threshold_and_correctable_do_not_load_numpy():
     ]
     proc = subprocess.run(
         [sys.executable, "-c", NO_NUMPY_SCRIPT, json.dumps(requests)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     # the dense suites still import it where they need it
     proc = subprocess.run(
         [sys.executable, "-m", "corrqec.cli", "verify", "--suite", "sparse-dense"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("[PASS] sparse-dense")
@@ -499,10 +547,9 @@ for argv in (["fidelity", "--model", "2", "--scheme", "dfs2", "--p", "0.1", "--m
 def test_importing_the_cli_loads_neither_checks_nor_json():
     # verify imports the suites, JSON output json, and threshold the root
     # solver, when they run
-    src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-S", "-c", LAZY_IMPORT_SCRIPT],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n[]\n['corrqec.roots']\n"
@@ -648,7 +695,7 @@ def test_table_bound_counts_rows_exactly(monkeypatch):
 def test_flavor_symmetry_suite_fails_on_a_wrong_phase_code(capsys, monkeypatch):
     # |+++--->/|---+++> is not the Hadamard mirror of the bit-flavor concat6
     # code: at p=0.2, mu=0.4 (model 1) its fidelity is 0.882 against 0.758
-    wrong = concatenate(dfs2("phase"), phaseflip3())
+    wrong = pattern_code("+++---", "---+++")
     support = build_channel(ChannelParams(p=0.5, mu=0.5, n=6, flavor="phase")).paulis
     wrong_rs = build_recovery(wrong, correctable_set(wrong, support))
     real = checks.scheme_recovery

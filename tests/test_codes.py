@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from corrqec.codes import (
@@ -7,15 +5,14 @@ from corrqec.codes import (
     bitflip3,
     concatenate,
     dfs2,
-    hadamard_conjugate_code,
     hadamard_transform,
     pattern_state,
-    phaseflip3,
 )
 from corrqec.errors import CapacityError, ContractViolationError, ParameterError
-from corrqec.pauli import SparseState, basis_state
+from corrqec.pauli import NORM_TOL, SparseState, basis_state
+from corrqec.schemes import build_code
 
-from _oracles import isclose
+from _oracles import isclose, pattern_code
 
 
 def identity_code():
@@ -30,31 +27,24 @@ def test_bitflip3_codewords():
     assert code.logical_zero.inner(code.logical_one) == 0
 
 
+def assert_codewords(code, zero, one):
+    # the rotation moves amplitudes by rounding, e.g. 2^-1.5 for 0.7071067811865475^3
+    assert isclose(code.logical_zero, pattern_state(zero), tol=NORM_TOL)
+    assert isclose(code.logical_one, pattern_state(one), tol=NORM_TOL)
+
+
 def test_phaseflip3_codewords():
-    code = phaseflip3()
-    amp = 1 / math.sqrt(8)
-    assert abs(code.logical_zero.amplitudes[0] - amp) < 1e-15
-    assert abs(code.logical_one.amplitudes[7] - (-amp)) < 1e-15
-    # |---> carries the bit-parity sign on every basis ket
-    for idx, a in code.logical_one.amplitudes.items():
-        assert abs(a - amp * (-1) ** idx.bit_count()) < 1e-15
-    assert abs(code.logical_zero.norm() - 1) < 1e-12
-    assert abs(code.logical_one.norm() - 1) < 1e-12
+    # the phase flavor of bitflip3, derived by the rotation
+    assert_codewords(build_code("bit3", "phase"), "+++", "---")
 
 
 def test_dfs2_flavors():
-    bit = dfs2("bit")
-    assert isclose(bit.logical_zero, pattern_state("+-"))
-    assert isclose(bit.logical_one, pattern_state("-+"))
-    phase = dfs2("phase")
-    assert phase.logical_zero.amplitudes == {0b10: 1}  # |01>: qubit 2 set
-    assert phase.logical_one.amplitudes == {0b01: 1}
-    with pytest.raises(ParameterError):
-        dfs2("other")
+    assert_codewords(dfs2(), "+-", "-+")
+    assert_codewords(build_code("dfs2", "phase"), "01", "10")
 
 
 def test_concatenate_reproduces_six_qubit_codewords():
-    code = concatenate(dfs2("bit"), bitflip3())
+    code = concatenate(dfs2(), bitflip3())
     # kets written |000000>, |000111>, |111000>, |111111> with qubit 1
     # leftmost (= least significant bit) have indices 0, 56, 7, 63
     zero = {0: 0.5, 56: -0.5, 7: 0.5, 63: -0.5}
@@ -68,7 +58,7 @@ def test_concatenate_reproduces_six_qubit_codewords():
 
 
 def test_concatenate_with_trivial_identity():
-    base = dfs2("bit")
+    base = dfs2()
     same = concatenate(base, identity_code())
     assert isclose(same.logical_zero, base.logical_zero)
     assert isclose(same.logical_one, base.logical_one)
@@ -78,7 +68,7 @@ def test_concatenate_with_trivial_identity():
 
 
 def test_concatenate_phase_flavor_substitution():
-    code = concatenate(dfs2("phase"), phaseflip3())
+    code = concatenate(pattern_code("01", "10"), pattern_code("+++", "---"))
     want_zero = pattern_state("+++---")
     want_one = pattern_state("---+++")
     assert isclose(code.logical_zero, want_zero)
@@ -86,11 +76,10 @@ def test_concatenate_phase_flavor_substitution():
 
 
 def test_phase_concat_scheme_is_the_hadamard_mirror():
-    # substituting phase-flip blocks into the bit-flavor pair expansion equals
-    # rotating the six-qubit code by H on every qubit
-    bit_code = concatenate(dfs2("bit"), bitflip3())
-    rotated = hadamard_conjugate_code(bit_code)
-    mirrored = concatenate(dfs2("bit"), phaseflip3())
+    # rotating the six-qubit code by H on every qubit equals substituting
+    # phase-flip blocks into the bit-flavor pair expansion
+    rotated = build_code("concat6", "phase")
+    mirrored = concatenate(dfs2(), pattern_code("+++", "---"))
     assert isclose(mirrored.logical_zero, rotated.logical_zero)
     assert isclose(mirrored.logical_one, rotated.logical_one)
     # support: the 16 kets with even parity on the first block and odd on the
@@ -104,7 +93,7 @@ def test_phase_concat_scheme_is_the_hadamard_mirror():
 
 
 def test_hadamard_transform_involution():
-    state = concatenate(dfs2("bit"), bitflip3()).logical_zero
+    state = concatenate(dfs2(), bitflip3()).logical_zero
     assert isclose(hadamard_transform(hadamard_transform(state)), state)
 
 
@@ -120,7 +109,7 @@ def test_concatenate_associativity_smoke():
 def test_concatenate_capacity():
     four = QuantumCode(4, basis_state(4, 0), basis_state(4, 0b1111), "rep4")
     with pytest.raises(CapacityError):
-        concatenate(concatenate(dfs2("bit"), bitflip3()), four)
+        concatenate(concatenate(dfs2(), bitflip3()), four)
 
 
 def test_pattern_state_rejects_garbage():

@@ -193,7 +193,7 @@ def test_apply_to_state_dfs_eigenvector():
 
 
 def test_apply_to_state_concat_block_eigenvalues():
-    code = concatenate(dfs2("bit"), bitflip3())
+    code = concatenate(dfs2(), bitflip3())
     x123 = PauliString.x_string(6, 0b000111)
     plus = apply_to_state(x123, code.logical_zero)
     assert isclose(plus, code.logical_zero)
@@ -231,7 +231,7 @@ def test_matrix_element_examples():
     # <0L|X1|1L> on the three-qubit code: |100> vs |111> do not overlap
     assert matrix_element(code.logical_zero, PauliString.x_string(3, 1), code.logical_one) == 0
 
-    concat = concatenate(dfs2("bit"), bitflip3())
+    concat = concatenate(dfs2(), bitflip3())
     x456 = PauliString.x_string(6, 0b111000)
     val = matrix_element(concat.logical_zero, x456, concat.logical_zero)
     assert abs(val - (-1)) < 1e-12

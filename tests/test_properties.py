@@ -1,20 +1,29 @@
-"""Property tests over random (mu, p): normalization, fidelity range, flavors.
+"""Property tests over random (mu, p): normalization, fidelity range, flavors,
+and codes derived beyond the scheme registry.
 
 Every test is derandomized and keeps no example database, so a run draws
 the same examples each time.
 """
 
+from fractions import Fraction
+from functools import lru_cache
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrqec.channels import MODEL_I, MODEL_II, ChannelParams, build_channel
+from corrqec.channels import _chain_weights, _flavored_strings, _model2_strings, _model2_weights
 from corrqec.checks import CLOSED_FORM_TOL, FLAVOR_TOL, NORMALIZATION_TOL
+from corrqec.codes import bitflip3, concatenate, dfs2, hadamard_conjugate_code
 from corrqec.fidelity import (
     FidelityResult,
+    dense_oracle_fidelity,
     entanglement_fidelity_corrected,
     evaluate,
 )
+from corrqec.recovery import build_recovery, correctable_set
 from corrqec.schemes import BASE_SCHEMES, scheme_recovery
 from corrqec.sweep import parse_range, render_fidelity_json
 
@@ -111,3 +120,52 @@ def _row(scheme, f, closed, failure=None, mu=0.5, p=0.1, model=MODEL_I):
 @example(results=[_row(name, 0.97, 0.97) for name in ("phase3", "dfs2-phase", "concat6-phase")])
 def test_fidelity_json_equals_the_indenting_encoder(results):
     assert render_fidelity_json(results) == dict_fidelity_json(results)
+
+
+# the leaves and their phase-flavor images; every pair that fits the dense oracle
+LEAVES = (bitflip3(), hadamard_conjugate_code(bitflip3()), dfs2(), hadamard_conjugate_code(dfs2()))
+PAIRS = [concatenate(top, bottom) for top in LEAVES for bottom in LEAVES if top.n * bottom.n <= 6]
+DERIVED = [
+    (image, flavor)
+    for code in PAIRS
+    for image in (code, hadamard_conjugate_code(code))
+    for flavor in ("bit", "phase")
+]
+
+
+@lru_cache(maxsize=None)
+def derived_recovery(case):
+    """The recovery of a derived code on its flavor's 2^n strings, built once per case."""
+    code, flavor = DERIVED[case]
+    return build_recovery(code, correctable_set(code, _flavored_strings(code.n, flavor)))
+
+
+def exact_correctable_weight(rs, flavor, model, p, mu):
+    """The channel weight of the correctable strings, in rational arithmetic."""
+    kept = {op for rop in rs.ops for op in rop.members}
+    n, p, mu = rs.code.n, Fraction(p), Fraction(mu)
+    if model == MODEL_I:
+        paulis, weights = _flavored_strings(n, flavor), _chain_weights(n, p, mu)
+    else:
+        paulis, weights = _model2_strings(n, flavor), _model2_weights(n, p, mu)
+    return sum(w for w, op in zip(weights, paulis) if op in kept)
+
+
+def test_the_derived_codes_are_the_twelve_pairs_in_both_images_and_flavors():
+    assert len(PAIRS) == 12 and len(DERIVED) == 48
+    assert sorted(code.n for code in PAIRS) == [4] * 4 + [6] * 8
+
+
+@pytest.mark.parametrize(
+    "case", range(len(DERIVED)), ids=[f"{code.label}-{flavor}" for code, flavor in DERIVED]
+)
+@settings(derandomize=True, database=None, deadline=None, max_examples=5)
+@given(model=models, p=unit, mu=unit)
+def test_kernel_oracle_and_exact_weight_agree_beyond_the_registry(case, model, p, mu):
+    rs = derived_recovery(case)
+    flavor = DERIVED[case][1]
+    channel = build_channel(ChannelParams(p=p, mu=mu, n=rs.code.n, flavor=flavor, model=model))
+    kernel = entanglement_fidelity_corrected(channel, rs)
+    exact = exact_correctable_weight(rs, flavor, model, p, mu)
+    assert abs(kernel - exact) <= 1e-12
+    assert abs(dense_oracle_fidelity(channel, rs) - exact) <= 1e-12

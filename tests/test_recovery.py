@@ -6,7 +6,7 @@ import pytest
 
 from corrqec import channels, recovery, schemes
 from corrqec.channels import MODEL_I, MODEL_II, ChannelParams, build_channel
-from corrqec.codes import bitflip3, concatenate, dfs2, pattern_state, phaseflip3
+from corrqec.codes import bitflip3, concatenate, dfs2, pattern_state
 from corrqec.errors import ContractViolationError, ParameterError
 from corrqec.pauli import PauliString, SparseState, apply_to_state, matrix_element, multiply
 from corrqec.recovery import (
@@ -22,9 +22,9 @@ from corrqec.recovery import (
 
 from corrqec.schemes import BASE_SCHEMES, build_code, scheme_recovery
 
-from _oracles import dense_complement_basis, dense_state, isclose
+from _oracles import dense_complement_basis, dense_state, isclose, pattern_code
 
-CONCAT = concatenate(dfs2("bit"), bitflip3(), label="concat6")
+CONCAT = concatenate(dfs2(), bitflip3(), label="concat6")
 
 
 def support_for(code, flavor="bit"):
@@ -64,7 +64,7 @@ def test_correctable_bit3():
 
 
 def test_correctable_dfs2():
-    code = dfs2("bit")
+    code = dfs2()
     corr = correctable_set(code, support_for(code))
     assert [op.label() for op in corr] == ["I", "X1X2"]
     det = detectable(code, support_for(code))
@@ -135,7 +135,7 @@ def test_build_recovery_bit3():
 
 
 def test_build_recovery_dfs2_degenerate():
-    code = dfs2("bit")
+    code = dfs2()
     rs = build_recovery(code, correctable_set(code, support_for(code)))
     assert len(rs.ops) == 1
     assert [m.label() for m in rs.ops[0].members] == ["I", "X1X2"]
@@ -166,7 +166,7 @@ def test_build_recovery_concat_pairs_complementary_masks():
         assert abs(rop.v0.inner(y) - (-1)) < 1e-12
 
 
-@pytest.mark.parametrize("code", [bitflip3(), dfs2("bit"), dfs2("phase"), CONCAT])
+@pytest.mark.parametrize("code", [bitflip3(), dfs2(), pattern_code("01", "10"), CONCAT])
 def test_trace_preservation(code):
     rs = build_recovery(code, correctable_set(code, support_for(code)))
     assert trace_preservation_deviation(rs) <= DETECT_TOL
@@ -180,7 +180,7 @@ def test_trace_preservation_fails_with_missing_operator():
 
 
 def test_syndrome_states_orthonormal():
-    for code in (bitflip3(), dfs2("bit"), CONCAT):
+    for code in (bitflip3(), dfs2(), CONCAT):
         rs = build_recovery(code, correctable_set(code, support_for(code)))
         states = [s for op in rs.ops for s in (op.v0, op.v1)] + list(rs.complement)
         for i, a in enumerate(states):
@@ -207,7 +207,7 @@ def test_alpha_matrix_structure():
     assert np.allclose(a3, np.eye(4))
 
     # noiseless pair: fully degenerate, rank-1 alpha
-    _, a2 = alpha(dfs2("bit"))
+    _, a2 = alpha(dfs2())
     assert np.allclose(a2, np.array([[1, -1], [-1, 1]]))
     assert np.linalg.matrix_rank(a2) == 1
 
@@ -225,7 +225,7 @@ def test_alpha_matrix_structure():
 
 
 def test_recovery_corrects_each_member():
-    for code in (bitflip3(), dfs2("bit"), CONCAT):
+    for code in (bitflip3(), dfs2(), CONCAT):
         rs = build_recovery(code, correctable_set(code, support_for(code)))
         for k, rop in enumerate(rs.ops):
             for member in rop.members:
@@ -281,7 +281,8 @@ def test_scheme_recovery_builds_no_channel(monkeypatch):
 
 
 LEAVES = {
-    "bit3": bitflip3(), "phase3": phaseflip3(), "dfs2": dfs2("bit"), "dfs2-phase": dfs2("phase"),
+    "bit3": bitflip3(), "phase3": pattern_code("+++", "---"),
+    "dfs2": dfs2(), "dfs2-phase": pattern_code("01", "10"),
 }
 CONCATENATIONS = [
     (top, bottom)
@@ -309,7 +310,7 @@ def test_complement_of_concatenations(top, bottom, flavor):
 
 
 def test_recovery_set_refuses_a_complement_overlapping_the_code():
-    code = dfs2("bit")
+    code = dfs2()
     rs = build_recovery(code, correctable_set(code, support_for(code)))
     zero = code.logical_zero.amplitudes
 
@@ -353,7 +354,7 @@ def test_alternative_maximal_sets_diagnostic():
     corr = correctable_set(bits, support_for(bits))
     assert [op.x_mask for op in corr] == [0b000, 0b001, 0b010, 0b100]
     # the degenerate pair for the noiseless two-qubit code is unique
-    code = dfs2("bit")
+    code = dfs2()
     assert alternative_maximal_sets(code, support_for(code)) == []
 
 
