@@ -45,9 +45,9 @@ from .pauli import (
 from .recovery import (
     RecoveryOp,
     RecoverySet,
-    alternative_maximal_sets,
     build_recovery,
     correctable_set,
+    count_correctable_sets,
     is_detectable,
     non_detectable_set,
     trace_preservation_deviation,

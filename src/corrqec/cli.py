@@ -13,7 +13,7 @@ from functools import lru_cache
 from .channels import _flavored_strings
 from .errors import CapacityError, DimensionError, ParameterError
 from .fidelity import CLOSED_FORM_KEYS, SUITE_NAMES
-from .recovery import alternative_maximal_sets, non_detectable_set
+from .recovery import count_correctable_sets, non_detectable_set
 from .schemes import resolve_scheme, scheme_recovery
 from .sweep import (
     OUTPUT_FORMATS,
@@ -184,7 +184,7 @@ def _cmd_correctable(args: argparse.Namespace) -> int:
     support = _flavored_strings(code.n, flavor)
     corr = [op for rop in rs.ops for op in rop.members]
     nondet = non_detectable_set(code, support)
-    alternatives = alternative_maximal_sets(code, support)
+    others = count_correctable_sets(code, support) - 1
 
     by_weight: dict[int, list[str]] = {}
     for op in corr:
@@ -199,7 +199,7 @@ def _cmd_correctable(args: argparse.Namespace) -> int:
     print(f"non-detectable ({len(nondet)}): {' '.join(op.label() for op in nondet)}")
     print(f"recovery operators: {len(rs.ops)}"
           + (f" + complement of dimension {len(rs.complement)}" if rs.complement else ""))
-    print(f"alternative equal-size correctable sets under reordering: {len(alternatives)}")
+    print(f"other maximum correctable sets containing the identity: {others}")
     return 0
 
 

@@ -6,38 +6,42 @@ P_C A P_C is a scalar multiple of P_C, i.e.
     <0L|A|0L> = <1L|A|1L>  and  <0L|A|1L> = <1L|A|0L> = 0.
 
 A set of Paulis is *correctable* when every pairwise product A^dag A' is
-detectable (the Knill-Laflamme condition).  The maximal such subset of an
-operator support's distinct Paulis is selected greedily, ascending weight,
-then ascending x_mask and z_mask; this deterministic order reproduces the
-canonical 32-operator set for the 6-qubit concatenated code.
+detectable (the Knill-Laflamme condition).  One partition of an operator
+support decides which sets are: each Pauli maps the code space onto a
+*syndrome* subspace, and within a syndrome the Paulis that act alike up
+to a scalar form a *cell*.  A set is correctable exactly when it takes at
+most one cell per syndrome.  The candidates are the support's distinct
+Paulis by ascending weight, then ascending x_mask and z_mask, after the
+identity, which seeds the partition so that the code space keeps the
+identity's cell; the correctable set is the first cell of each syndrome.
+This reproduces the canonical 32-operator set for the 6-qubit
+concatenated code.
 
-Recovery synthesis groups correctable operators by the syndrome subspace
-they map the code space onto.  Each group contributes one partial isometry
+Recovery synthesis partitions a correctable list the same way; each
+syndrome contributes one partial isometry
 
     R_l = |0L><v_l^0| + |1L><v_l^1|,   |v_l^i> = A_l |iL>
 
-(the representative A_l is the group's first operator; no sign is stripped
-from A_l|iL>, so a -1 eigenvalue stays in the syndrome state).  Operators
-mapping onto the same subspace up to a scalar share one R_l -- the fully
-degenerate situation of a decoherence-free pair.  When the syndrome
-subspaces do not fill the Hilbert space, an orthonormal complement basis
-is completed by Gram-Schmidt over computational basis vectors in ascending
-index and attached as the projector R_perp.
+(the representative A_l is the syndrome's first operator; no sign is
+stripped from A_l|iL>, so a -1 eigenvalue stays in the syndrome state).
+Operators of one cell share one R_l -- the fully degenerate situation of
+a decoherence-free pair.  When the syndrome subspaces do not fill the
+Hilbert space, an orthonormal complement basis is completed by
+Gram-Schmidt over computational basis vectors in ascending index and
+attached as the projector R_perp.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
 
 from .codes import QuantumCode
 from .errors import ContractViolationError, DimensionError, ParameterError
-from .pauli import Frozen, PauliString, SparseState, apply_to_state, matrix_element, multiply
+from .pauli import Frozen, PauliString, SparseState, apply_to_state, matrix_element
 
 DETECT_TOL = 1e-10
-# seeded reorderings of each kind tried by alternative_maximal_sets
-ALTERNATIVE_TRIES = 8
 
 
 class RecoveryOp(namedtuple("RecoveryOp", "v0 v1 members")):
@@ -118,127 +122,101 @@ def non_detectable_set(code: QuantumCode, paulis: Iterable[PauliString]) -> list
     return [op for op in _sorted_candidates(paulis) if not is_detectable(code, op)]
 
 
-def _greedy(
-    code: QuantumCode,
-    candidates: list[PauliString],
-    known: dict[tuple[int, int], bool] | None = None,
-) -> list[PauliString]:
-    """Accept each candidate whose products with those accepted are detectable.
+def _partition(code: QuantumCode, ops: list[PauliString]) -> list[tuple[int, int]]:
+    """Label each of ``ops`` with its (syndrome, cell) pair, numbered by first appearance.
 
-    ``known`` memoizes detectability by the product's ``(x_mask, z_mask)``,
-    since a global phase cannot change it; runs on the same code may share it.
+    Two Paulis a, b share a syndrome when a^dag b restricted to the code space
+    is unitary, and a cell when that restriction is a unit scalar; it is zero
+    for different syndromes.  Each kind is memoized by the product's
+    ``(x_mask, z_mask)``, since a global phase cannot change it.
     """
-    if known is None:
-        known = {}
+    zero, one = code.logical_zero, code.logical_one
+    kinds: dict[tuple[int, int], str] = {}
 
-    def detectable(a: PauliString, b: PauliString) -> bool:
-        """Is a^dag b detectable?  Forms the product only on a memo miss."""
+    def kind(a: PauliString, b: PauliString) -> str:
+        """'zero', 'scalar' or 'unitary': the restricted a^dag b, up to a phase."""
         key = (a.x_mask ^ b.x_mask, a.z_mask ^ b.z_mask)
-        if key not in known:
-            known[key] = is_detectable(code, multiply(a.dagger(), b))
-        return known[key]
+        if key not in kinds:
+            p = PauliString(code.n, *key)
+            m00, m01 = matrix_element(zero, p, zero), matrix_element(zero, p, one)
+            m10, m11 = matrix_element(one, p, zero), matrix_element(one, p, one)
+            if max(abs(m00), abs(m01), abs(m10), abs(m11)) <= DETECT_TOL:
+                kinds[key] = "zero"
+            elif max(  # rows not orthonormal: no unitary
+                abs(abs(m00) ** 2 + abs(m01) ** 2 - 1.0),
+                abs(abs(m10) ** 2 + abs(m11) ** 2 - 1.0),
+                abs(m00 * m10.conjugate() + m01 * m11.conjugate()),
+            ) > DETECT_TOL:
+                raise ContractViolationError(
+                    f"syndrome spaces of {b.label()} and {a.label()} overlap without coinciding"
+                )
+            elif abs(m01) <= DETECT_TOL and abs(m10) <= DETECT_TOL and abs(m00 - m11) <= DETECT_TOL:
+                kinds[key] = "scalar"
+            else:
+                kinds[key] = "unitary"
+        return kinds[key]
 
-    identity = PauliString.identity(code.n)
-    accepted: list[PauliString] = []
-    for cand in candidates:
-        if all(detectable(prev, cand) for prev in accepted) and detectable(identity, cand):
-            accepted.append(cand)
-    return accepted
+    reps: list[list[PauliString]] = []  # per syndrome, the first Pauli of each cell
+    labels: list[tuple[int, int]] = []
+    for op in ops:
+        for s, cells in enumerate(reps):
+            if kind(cells[0], op) != "zero":
+                c = next((c for c, rep in enumerate(cells) if kind(rep, op) == "scalar"), None)
+                if c is None:
+                    c = len(cells)
+                    cells.append(op)
+                break
+        else:
+            s, c = len(reps), 0
+            reps.append([op])
+        labels.append((s, c))
+    return labels
 
 
 def correctable_set(code: QuantumCode, paulis: Iterable[PauliString]) -> list[PauliString]:
-    """Maximal-by-greedy subset of ``paulis`` with all pairwise products detectable.
+    """The Paulis of the first cell of each syndrome, in candidate order.
 
     ``paulis`` is an operator support, such as a channel's ``paulis``: no
-    weight plays a part, and a repeated Pauli counts once.
+    weight plays a part, and a repeated Pauli counts once.  The identity
+    seeds the partition, so on the code space the kept cell is the
+    identity's, which holds exactly the candidates detectable on their own.
     """
-    return _greedy(code, _sorted_candidates(paulis))
-
-
-def alternative_maximal_sets(
-    code: QuantumCode, paulis: Iterable[PauliString]
-) -> list[tuple[PauliString, ...]]:
-    """Diagnostic: same-size correctable sets reachable under candidate reordering.
-
-    Reruns the greedy selection with the within-weight-class order reversed,
-    with seeded shuffles inside each weight class, and with fully shuffled
-    candidate lists (which can swap representatives across weight classes).
-    Returns the distinct sets (excluding the canonical one) of equal size;
-    the canonical set is never replaced.  All runs share one detectability
-    memo, so each distinct product is checked once.
-    """
-    import random  # imported here: only this diagnostic shuffles
     candidates = _sorted_candidates(paulis)
-    known: dict[tuple[int, int], bool] = {}
-    canonical = tuple(_greedy(code, candidates, known))
-    by_weight: dict[int, list[PauliString]] = {}
-    for op in candidates:
-        by_weight.setdefault(op.weight, []).append(op)
+    labels = _partition(code, [PauliString.identity(code.n)] + candidates)
+    return [op for op, (_, c) in zip(candidates, labels[1:]) if c == 0]
 
-    def order(shuffler) -> list[PauliString]:
-        out: list[PauliString] = []
-        for w in sorted(by_weight):
-            block = list(by_weight[w])
-            shuffler(block)
-            out.extend(block)
-        return out
 
-    orderings = [order(lambda block: block.reverse())]
-    rng = random.Random(0)
-    for _ in range(ALTERNATIVE_TRIES):
-        orderings.append(order(rng.shuffle))
-    for _ in range(ALTERNATIVE_TRIES):
-        full = list(candidates)
-        rng.shuffle(full)
-        orderings.append(full)
+def count_correctable_sets(code: QuantumCode, paulis: Iterable[PauliString]) -> int:
+    """How many maximal correctable subsets of ``paulis`` contain the identity.
 
-    canonical_key = frozenset((op.x_mask, op.z_mask, op.phase) for op in canonical)
-    found: dict[frozenset, tuple[PauliString, ...]] = {}
-    for candidates in orderings:
-        result = tuple(_greedy(code, candidates, known))
-        if len(result) != len(canonical):
-            continue
-        key = frozenset((op.x_mask, op.z_mask, op.phase) for op in result)
-        if key != canonical_key:
-            found.setdefault(key, result)
-    return list(found.values())
+    Each takes one whole cell per syndrome, and the identity's cell on the
+    code space, so the count is the product of the other syndromes' cell
+    counts.  ``correctable_set`` is one of them.
+    """
+    labels = set(_partition(code, [PauliString.identity(code.n)] + _sorted_candidates(paulis)))
+    cells = Counter(s for s, _ in labels)
+    return math.prod(count for s, count in cells.items() if s)
 
 
 def build_recovery(code: QuantumCode, correctable: list[PauliString]) -> RecoverySet:
     """Synthesize the recovery set for a correctable operator list."""
     if not correctable:
         raise ParameterError("correctable operator list is empty")
-    groups: list[tuple[SparseState, SparseState, list[PauliString]]] = []
-    for op in correctable:
-        y0 = apply_to_state(op, code.logical_zero)
-        y1 = apply_to_state(op, code.logical_one)
-        placed = False
-        for v0, v1, members in groups:
-            c00, c10 = v0.inner(y0), v1.inner(y0)
-            c01, c11 = v0.inner(y1), v1.inner(y1)
-            if max(abs(c00), abs(c10), abs(c01), abs(c11)) <= DETECT_TOL:
-                continue  # orthogonal to this syndrome subspace
-            same = (
-                abs(abs(c00) - 1.0) <= DETECT_TOL
-                and abs(c10) <= DETECT_TOL
-                and abs(c01) <= DETECT_TOL
+    groups: dict[int, list[PauliString]] = {}
+    for op, (s, c) in zip(correctable, _partition(code, correctable)):
+        if c:
+            raise ContractViolationError(
+                f"{op.label()} and {groups[s][0].label()} share a syndrome but act differently"
             )
-            if not same or abs(c11 - c00) > DETECT_TOL:
-                raise ContractViolationError(
-                    f"syndrome spaces of {op.label()} and {members[0].label()} "
-                    "overlap without coinciding"
-                )
-            members.append(op)
-            placed = True
-            break
-        if not placed:
-            if abs(y0.inner(y1)) > DETECT_TOL:
-                raise ContractViolationError(
-                    f"images of the codewords under {op.label()} are not orthogonal"
-                )
-            groups.append((y0, y1, [op]))
-
-    ops = tuple(RecoveryOp(v0, v1, tuple(members)) for v0, v1, members in groups)
+        groups.setdefault(s, []).append(op)
+    ops = tuple(
+        RecoveryOp(
+            apply_to_state(members[0], code.logical_zero),
+            apply_to_state(members[0], code.logical_one),
+            tuple(members),
+        )
+        for members in groups.values()
+    )
     complement = _complement_basis(code.n, ops)
     return RecoverySet(code, ops, tuple(complement))
 

@@ -33,6 +33,11 @@ directly can be checked against the conjugated bit flavor.
 ``pattern_code`` writes a code down from its two product-state patterns,
 so the phase-flavor codes, which the library derives by rotating the
 bit-flavor ones, have references that take no rotation.
+``greedy_correctable_set`` is the former correctable-set selection, a
+greedy pairwise Knill-Laflamme search; the syndrome/cell partition must
+select the same set.  ``maximum_cliques`` enumerates, from dense images,
+every maximum clique of the pairwise-detectability graph; the partition's
+count of correctable sets must match it.
 """
 
 import json
@@ -45,8 +50,8 @@ from corrqec.errors import ContractViolationError
 from corrqec.fidelity import ThresholdPoint, closed_form, evaluate
 from corrqec.channels import NoiseChannel
 from corrqec.codes import QuantumCode, pattern_state
-from corrqec.pauli import PauliString, SparseState, apply_to_state
-from corrqec.recovery import recovery_dense
+from corrqec.pauli import PauliString, SparseState, apply_to_state, multiply
+from corrqec.recovery import is_detectable, recovery_dense
 from corrqec.sweep import fmt_float
 
 I2 = np.eye(2, dtype=complex)
@@ -403,3 +408,67 @@ def phase_flavor(channel):
 def pattern_code(zero, one):
     """The code with codewords ``pattern_state(zero)`` and ``pattern_state(one)``."""
     return QuantumCode(len(zero), pattern_state(zero), pattern_state(one), f"{zero}/{one}")
+
+
+def greedy_correctable_set(code, paulis):
+    """The former correctable-set selection, with no memo: every product is checked anew.
+
+    The distinct Paulis by (weight, x_mask, z_mask, phase) are accepted one
+    by one when detectable on their own and in their product with each one
+    accepted before.
+    """
+    distinct = {(op.x_mask, op.z_mask, op.phase): op for op in paulis}.values()
+    accepted = []
+    for cand in sorted(distinct, key=lambda op: (op.weight, op.x_mask, op.z_mask, op.phase)):
+        if all(
+            is_detectable(code, multiply(prev.dagger(), cand)) for prev in accepted
+        ) and is_detectable(code, cand):
+            accepted.append(cand)
+    return accepted
+
+
+def maximum_cliques(code, strings, tol=1e-10):
+    """The maximum cliques of the detectability graph on ``strings``, as index bitmasks.
+
+    Two strings are joined when the dense 2x2 overlap matrix of their
+    codeword images is a multiple of the identity (a^dag b is detectable).
+    Bron-Kerbosch with a pivot lists every maximal clique; the largest are
+    returned, bit i standing for ``strings[i]``.
+    """
+    zero, one = dense_state(code.logical_zero), dense_state(code.logical_one)
+    images = [
+        dense_pauli(code.n, p.x_mask, p.z_mask, p.phase) @ np.stack([zero, one], axis=1)
+        for p in strings
+    ]
+    neighbours = [0] * len(strings)
+    for i, a in enumerate(images):
+        for j in range(i):
+            g = a.conj().T @ images[j]
+            if abs(g[0, 1]) <= tol and abs(g[1, 0]) <= tol and abs(g[0, 0] - g[1, 1]) <= tol:
+                neighbours[i] |= 1 << j
+                neighbours[j] |= 1 << i
+
+    def members(mask):
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    cliques = []
+
+    def expand(clique, allowed, excluded):
+        if not allowed and not excluded:
+            cliques.append(clique)
+            return
+        # a pivot with the most allowed neighbours: only its non-neighbours branch
+        pivot = max(
+            members(allowed | excluded), key=lambda u: (allowed & neighbours[u]).bit_count()
+        )
+        for v in members(allowed & ~neighbours[pivot]):
+            expand(clique | 1 << v, allowed & neighbours[v], excluded & neighbours[v])
+            allowed &= ~(1 << v)
+            excluded |= 1 << v
+
+    expand(0, (1 << len(strings)) - 1, 0)
+    size = max(c.bit_count() for c in cliques)
+    return [c for c in cliques if c.bit_count() == size]

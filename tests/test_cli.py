@@ -349,21 +349,21 @@ def test_correctable_takes_no_model(capsys):
 
 # SHA-256 of each listing's stdout: no benchmark digest covers this command
 CORRECTABLE_DIGESTS = {
-    ("bit3",): "03fb5ae22e02f7039a372f842437af56cd8843f2f7ba1037195e1ec35595202a",
-    ("dfs2",): "5cbe72dfaaee0eba343354515a1087e16db0535ff05b4b62a9418146fa753285",
-    ("concat6",): "55f1a0c75711bb7db7d79f06d02914c1d472447ec49f83a4c13c6e7e64e88995",
-    ("unencoded",): "a6eff9810959e6742938c3b8f89ff592adc10ae1d742af573a5b4877f477b95e",
-    ("phase3",): "a2019142d211d5ed8722658181f38af69febde24d79e278755721fa5958c4d4c",
-    ("dfs2-phase",): "0e7c02756ce07d4c23b3f467fed44c63dacf061df206467bf62068f634fc7b9f",
-    ("concat6-phase",): "e1aae219e67b9001d3ed63f6967f7d553bcbda0c04d70c5cfe2da1952cec0070",
+    ("bit3",): "51733ee313c5a565e163af99329b9680425437450dcad240552217b399ef377b",
+    ("dfs2",): "3899153121ac2d006f133b7ed9e79ccdc114449fdcb1ee4e5de93304c4b18faa",
+    ("concat6",): "6b0c9a5877246187dd06eadce161df9ade1cbc4101ac953dd9939826f0e20a7f",
+    ("unencoded",): "1105ee222cd42d5872f6b9c947ca173b3b0cc880588947adaa69ad2d42ede998",
+    ("phase3",): "a5d9efd0c7161c363605c645359b4284a8b843adc390c6229be6ccff1a486851",
+    ("dfs2-phase",): "4cd6688918aac13d7b1e4f2837913872ec3f59f4c90aa269baaae8b2d21ed792",
+    ("concat6-phase",): "8da848fea1ddb51f135edfe995c02993253768d0c3b95b050a2f75ec1076c132",
     ("bit3", "--flavor", "phase"):
-        "f98f9cb2c14f5cc670c1e8069e2520429cafca028bcb5e793c34bc36bd93f665",
+        "602461654d43056d571352e48cf79ac4f912c021f6a0f63f4e89c4bb17f9e7bd",
     ("dfs2", "--flavor", "phase"):
-        "d8072dc3f0b0e5fa79bd8c5fc33c6480ee074914869680fbc5542fe94b06e39e",
+        "b1ab3867f9395323640d65a8b0821029571bb5f3e81f61646d7c48df8c259dad",
     ("concat6", "--flavor", "phase"):
-        "62f0641cc9a0a5150bd861ff352456d9de9e5d375b330bdf02f5d0e08c9263ce",
+        "34bb4fef3bc9015c55fc87fbfdb844cb860e3fb565ced5d06f294bbbc70e73d5",
     ("unencoded", "--flavor", "phase"):
-        "6a3a395e3a0e224cfaf78b3770b3b1df8c84381661952d75459fde3d235e45da",
+        "6b60e6f2be58eeb785d9564279a99e68745208ec7ba0a9ebcc0f304316bdc5d7",
 }
 
 
@@ -412,15 +412,15 @@ def test_correctable_suite_fails_on_a_recovery_missing_an_operator(capsys, monke
     assert out.endswith("1 suite(s) failed: correctable\n")
 
 
-GREEDY_COUNT_SCRIPT = """
+DERIVE_COUNT_SCRIPT = """
 import contextlib, io
-from corrqec import cli, recovery
+from corrqec import cli, schemes
 calls = []
-greedy = recovery._greedy
-def counting(code, candidates):
+derive = schemes.correctable_set
+def counting(code, paulis):
     calls.append(code)
-    return greedy(code, candidates)
-recovery._greedy = counting
+    return derive(code, paulis)
+schemes.correctable_set = counting
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["threshold", "--model", "1", "--scheme", "dfs2,bit3,concat6,unencoded",
                      "--p", "0.1"]) == 0
@@ -433,7 +433,7 @@ def test_each_correctable_set_is_derived_once_per_process():
     # threshold derives the four bit-flavor sets; the correctable suite reads
     # three of them back from the cached recoveries instead of deriving them again
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", GREEDY_COUNT_SCRIPT],
+        [sys.executable, "-S", "-c", DERIVE_COUNT_SCRIPT],
         capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
@@ -463,7 +463,7 @@ def test_correctable_lists_the_trivial_set_for_unencoded(capsys):
             "detectable set: 1 operators",
             f"non-detectable (1): {flip}",
             "recovery operators: 1",
-            "alternative equal-size correctable sets under reordering: 0",
+            "other maximum correctable sets containing the identity: 0",
         ]
 
 

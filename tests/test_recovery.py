@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import numpy as np
@@ -6,15 +7,15 @@ import pytest
 
 from corrqec import channels, recovery, schemes
 from corrqec.channels import MODEL_I, MODEL_II, ChannelParams, build_channel
-from corrqec.codes import bitflip3, concatenate, dfs2, pattern_state
+from corrqec.codes import QuantumCode, bitflip3, concatenate, dfs2, pattern_state
 from corrqec.errors import ContractViolationError, ParameterError
-from corrqec.pauli import PauliString, SparseState, apply_to_state, matrix_element, multiply
+from corrqec.pauli import PauliString, SparseState, apply_to_state, matrix_element
 from corrqec.recovery import (
     DETECT_TOL,
     RecoverySet,
-    alternative_maximal_sets,
     build_recovery,
     correctable_set,
+    count_correctable_sets,
     is_detectable,
     non_detectable_set,
     trace_preservation_deviation,
@@ -22,7 +23,14 @@ from corrqec.recovery import (
 
 from corrqec.schemes import BASE_SCHEMES, build_code, scheme_recovery
 
-from _oracles import dense_complement_basis, dense_state, isclose, pattern_code
+from _oracles import (
+    dense_complement_basis,
+    dense_state,
+    greedy_correctable_set,
+    isclose,
+    maximum_cliques,
+    pattern_code,
+)
 
 CONCAT = concatenate(dfs2(), bitflip3(), label="concat6")
 
@@ -115,7 +123,7 @@ def test_repeated_paulis_in_the_support_count_once(base, flavor):
         ChannelParams(p=0.5, mu=0.5, n=code.n, flavor=flavor, model=MODEL_II)
     ).paulis
     assert repeated == strings + (strings[0], strings[-1])
-    for derive in (correctable_set, non_detectable_set, alternative_maximal_sets):
+    for derive in (correctable_set, non_detectable_set, count_correctable_sets):
         assert derive(code, repeated) == derive(code, strings), derive.__name__
 
 
@@ -341,46 +349,58 @@ def test_build_recovery_rejects_non_correctable_input():
         build_recovery(bits, [])
 
 
-def test_alternative_maximal_sets_diagnostic():
-    # equal-size maximal sets exist for bit3 (e.g. I, X1, X1X2, X1X3) but the
-    # canonical greedy result never changes
-    bits = bitflip3()
-    alts = alternative_maximal_sets(bits, support_for(bits))
-    assert len(alts) >= 1
-    for alt in alts:
-        assert len(alt) == 4
-        masks = {op.x_mask for op in alt}
-        assert masks != {0b000, 0b001, 0b010, 0b100}
-    corr = correctable_set(bits, support_for(bits))
-    assert [op.x_mask for op in corr] == [0b000, 0b001, 0b010, 0b100]
-    # the degenerate pair for the noiseless two-qubit code is unique
-    code = dfs2()
-    assert alternative_maximal_sets(code, support_for(code)) == []
+@pytest.mark.parametrize("flavor", ["bit", "phase"])
+@pytest.mark.parametrize("name", list(LEAVES) + [" ".join(pair) for pair in CONCATENATIONS])
+def test_correctable_set_is_the_greedy_oracle_set(name, flavor):
+    # the full support, then seeded sub-supports, half of them without the
+    # identity, so the seed rather than a candidate picks the code-space cell
+    parts = name.split()
+    code = LEAVES[parts[0]] if len(parts) == 1 else concatenate(*(LEAVES[p] for p in parts))
+    support = support_for(code, flavor)
+    assert correctable_set(code, support) == greedy_correctable_set(code, support)
+    rng = random.Random(f"{name} {flavor}")
+    for k in range(10):
+        sub = [op for op in support[1:] if rng.random() < 0.5] or [support[-1]]
+        if k % 2:
+            sub.append(support[0])
+        assert correctable_set(code, sub) == greedy_correctable_set(code, sub), (k, sub)
 
 
-def unmemoized_greedy(code, candidates, known=None):
-    """The greedy selection without its memo: every product is checked anew."""
-    accepted = []
-    for cand in candidates:
-        if all(
-            is_detectable(code, multiply(prev.dagger(), cand)) for prev in accepted
-        ) and is_detectable(code, cand):
-            accepted.append(cand)
-    return accepted
+@pytest.mark.parametrize(
+    "base,flavor,sets",
+    [(base, flavor, sets) for base, sets in (("bit3", 8), ("dfs2", 1), ("unencoded", 1))
+     for flavor in ("bit", "phase")] + [("concat6", "bit", 32768)],
+)
+def test_count_is_the_clique_oracle_count(base, flavor, sets):
+    # every maximum clique of the detectability graph holding the identity is a
+    # correctable set the partition counts, and the canonical set is one of them
+    code = build_code(base, flavor)
+    support = support_for(code, flavor)
+    cliques = [c for c in maximum_cliques(code, support) if c & 1]
+    assert count_correctable_sets(code, support) == len(cliques) == sets
+    canonical = sum(1 << support.index(op) for op in correctable_set(code, support))
+    assert canonical in cliques
 
 
-def test_alternatives_check_each_distinct_product_once(monkeypatch):
+def test_the_partition_classifies_each_distinct_product_once(monkeypatch):
+    # one kind per product mask, read from the four restricted matrix elements
     support = support_for(CONCAT)
     checked = Counter()
 
-    def counting(code, op):
+    def counting(bra, op, ket):
         checked[op.x_mask, op.z_mask] += 1
-        return is_detectable(code, op)
+        return matrix_element(bra, op, ket)
 
-    monkeypatch.setattr(recovery, "is_detectable", counting)
-    alts = alternative_maximal_sets(CONCAT, support)
-    assert len(checked) == 64 and max(checked.values()) == 1
-    monkeypatch.setattr(recovery, "_greedy", unmemoized_greedy)
-    # the memo changes no set and no order
-    assert alternative_maximal_sets(CONCAT, support) == alts
-    assert len(alts) == 8
+    monkeypatch.setattr(recovery, "matrix_element", counting)
+    assert count_correctable_sets(CONCAT, support) == 32768
+    assert len(checked) == 64 and set(checked.values()) == {4}
+
+
+def test_the_partition_refuses_a_partial_overlap():
+    # X1 maps |1L> = (|01> + |10>)/sqrt2 half onto |0L> = |00>: its restriction
+    # is neither zero nor unitary, so no syndrome holds it
+    zero = SparseState(2, {0: 1.0})
+    one = SparseState(2, {1: 2 ** -0.5, 2: 2 ** -0.5})
+    code = QuantumCode(2, zero, one, "partial")
+    with pytest.raises(ContractViolationError, match="overlap without coinciding"):
+        correctable_set(code, support_for(code))
