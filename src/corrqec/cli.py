@@ -184,6 +184,7 @@ def _cmd_correctable(args: argparse.Namespace) -> int:
     support = _flavored_strings(code.n, flavor)
     corr = [op for rop in rs.ops for op in rop.members]
     nondet = non_detectable_set(code, support)
+    # on all 2^n strings a syndrome's cells are equal in size, so maximal sets are maximum
     others = count_correctable_sets(code, support) - 1
 
     by_weight: dict[int, list[str]] = {}

@@ -350,12 +350,12 @@ def test_build_recovery_rejects_non_correctable_input():
 
 
 @pytest.mark.parametrize("flavor", ["bit", "phase"])
-@pytest.mark.parametrize("name", list(LEAVES) + [" ".join(pair) for pair in CONCATENATIONS])
+@pytest.mark.parametrize("name", list(LEAVES) + [f"concat({t},{b})" for t, b in CONCATENATIONS])
 def test_correctable_set_is_the_greedy_oracle_set(name, flavor):
     # the full support, then seeded sub-supports, half of them without the
     # identity, so the seed rather than a candidate picks the code-space cell
-    parts = name.split()
-    code = LEAVES[parts[0]] if len(parts) == 1 else concatenate(*(LEAVES[p] for p in parts))
+    parts = name.removeprefix("concat(").removesuffix(")").split(",")
+    code = concatenate(*(LEAVES[p] for p in parts)) if len(parts) == 2 else LEAVES[name]
     support = support_for(code, flavor)
     assert correctable_set(code, support) == greedy_correctable_set(code, support)
     rng = random.Random(f"{name} {flavor}")
