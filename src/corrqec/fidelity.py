@@ -145,10 +145,15 @@ def dense_oracle_fidelity(channel: NoiseChannel, rs: RecoverySet) -> float:
 
     The rows P R_l are stacked on the first call for a recovery set, from
     recovery matrices streamed one at a time, and kept on the set
-    (``rs.projected_rows``); each Kraus term then costs one dense Pauli and
-    one matrix-vector product.  The dense Pauli is built from single-qubit
+    (``rs.projected_rows``).  The first time a Pauli occurs for the set,
+    it costs one dense Pauli and one matrix-vector product against the
+    rows, whose squared norm sum_l |tr[P R_l A]|^2 depends on the Pauli
+    only, not on (mu, p); the set keeps it in ``rs.dense_squares``, keyed
+    by the ``PauliString``.  Each Kraus term then adds w * square, in term
+    order and zeros included.  The dense Pauli is built from single-qubit
     factors, one Kronecker step per cached block of up to three qubits
-    (``PauliString.dense``), independently of the sparse kernel.
+    (``PauliString.dense``), independently of the sparse kernel, whose
+    memo the oracle never reads.
     """
     code = rs.code
     if code.n > 6:
@@ -170,10 +175,14 @@ def dense_oracle_fidelity(channel: NoiseChannel, rs: RecoverySet) -> float:
         projected.flags.writeable = False
         # RecoverySet is frozen; the rows are a cache, like restricted_traces
         object.__setattr__(rs, "projected_rows", projected)
+    squares = rs.dense_squares
     total = 0.0
     for w, op in channel.terms:
-        t = projected @ op.dense().ravel()
-        total += w * np.vdot(t, t).real
+        square = squares.get(op)
+        if square is None:
+            t = projected @ op.dense().ravel()
+            square = squares[op] = np.vdot(t, t).real
+        total += w * square
     return float(total / 4.0)
 
 

@@ -71,10 +71,15 @@ class RecoverySet(Frozen):
     ``projected_rows`` holds the dense oracle's read-only rows
     ``(P R_l)^T`` flattened, one per recovery matrix, with ``P`` the code
     projector; the oracle sets it on its first call for this set.
+    ``dense_squares`` memoizes, per channel Pauli keyed by the
+    ``PauliString`` itself, the oracle's ``sum_l |tr[P R_l A]|^2`` over
+    every recovery matrix, complement included.  Only the oracle fills it,
+    and it never reads the kernel's caches.
     """
 
     __slots__ = (
-        "code", "ops", "complement", "restricted_traces", "term_tables", "projected_rows"
+        "code", "ops", "complement", "restricted_traces", "term_tables", "projected_rows",
+        "dense_squares",
     )
     _fields = ("code", "ops", "complement")
     # by identity: the repr alone reads _fields
@@ -84,6 +89,7 @@ class RecoverySet(Frozen):
     restricted_traces: dict[tuple[int, int, int], tuple[float, ...]]
     term_tables: dict[int, tuple[tuple[PauliString, ...], tuple[tuple[int, float], ...]]]
     projected_rows: np.ndarray | None
+    dense_squares: dict[PauliString, float]
 
     def __init__(
         self, code: QuantumCode, ops: tuple[RecoveryOp, ...], complement: tuple[SparseState, ...]
@@ -97,6 +103,7 @@ class RecoverySet(Frozen):
         object.__setattr__(self, "restricted_traces", {})
         object.__setattr__(self, "term_tables", {})
         object.__setattr__(self, "projected_rows", None)
+        object.__setattr__(self, "dense_squares", {})
 
 
 def is_detectable(code: QuantumCode, op: PauliString) -> bool:
