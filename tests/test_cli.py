@@ -308,6 +308,17 @@ def test_sparse_dense_suite_fails_when_the_kernel_is_off(capsys, monkeypatch):
     assert "[FAIL] sparse-dense" in out
 
 
+def test_sparse_dense_suite_fails_when_the_oracle_is_off(capsys, monkeypatch):
+    # a first run fills the oracle's memo on the cached recovery sets
+    code, out, _ = run_cli(capsys, "verify", "--suite", "sparse-dense")
+    assert code == 0 and "[PASS] sparse-dense" in out
+    real = checks.dense_oracle_fidelity
+    monkeypatch.setattr(checks, "dense_oracle_fidelity", lambda ch, rs: real(ch, rs) + 1e-9)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "sparse-dense")
+    assert code == 1
+    assert "[FAIL] sparse-dense" in out
+
+
 def test_verify_single_suite_census(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "correctable")
     assert code == 0

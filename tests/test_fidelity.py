@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,7 @@ from corrqec.fidelity import (
     evaluate,
     threshold_mu,
 )
-from corrqec.pauli import SparseState
+from corrqec.pauli import PauliString, SparseState
 from corrqec.recovery import RecoverySet, build_recovery, correctable_set
 from corrqec.schemes import BASE_SCHEMES, scheme_recovery
 
@@ -205,18 +206,67 @@ def test_dense_oracle_builds_rows_once_per_recovery_set(monkeypatch):
         builds.append(rs_arg)
         return original(rs_arg)
 
+    densified = Counter()
+    original_dense = PauliString.dense
+
+    def counting_dense(op):
+        densified[op] += 1
+        return original_dense(op)
+
     monkeypatch.setattr(fidelity, "recovery_dense", counting)
+    monkeypatch.setattr(PauliString, "dense", counting_dense)
     code, correctable = correctable_members("concat6")
     first = build_recovery(code, correctable)
+    assert first.dense_squares == {}
+    seen = set()
     for p, mu in ((0.1, 0.0), (0.3, 0.7), (0.9, 1.0)):
         for model in (MODEL_I, MODEL_II):
-            dense_oracle_fidelity(channel(model, 6, p, mu), first)
+            ch = channel(model, 6, p, mu)
+            seen.update(ch.paulis)
+            dense_oracle_fidelity(ch, first)
     assert len(builds) == 1 and builds[0] is first
+    # model II repeats two of model I's Paulis in its term list
+    assert set(densified) == seen == set(first.dense_squares)
+    assert set(densified.values()) == {1}
     second = build_recovery(code, correctable)
-    assert second.projected_rows is None
-    dense_oracle_fidelity(channel(MODEL_I, 6, 0.2, 0.4), second)
+    assert second.projected_rows is None and second.dense_squares == {}
+    densified.clear()
+    ch = channel(MODEL_I, 6, 0.2, 0.4)
+    dense_oracle_fidelity(ch, second)
     assert len(builds) == 2 and builds[1] is second
     assert second.projected_rows is not first.projected_rows
+    assert set(densified) == set(ch.paulis) == set(second.dense_squares)
+    assert set(densified.values()) == {1}
+
+
+def test_dense_oracle_memo_keys_the_whole_pauli():
+    # X1, Y1, Z1 and X1Z1 at other phases share masks pairwise but not all
+    # three of (x_mask, z_mask, phase); a memo keyed by less mixes them up
+    def hand_built(n, masks):
+        paulis = tuple(PauliString(n, x, z, phase) for x, z, phase in masks)
+        weights = [0.5 / (k + 1) for k in range(len(paulis))]
+        return NoiseChannel(n, paulis, weights, shared=False)
+
+    small = [(0, 0, 0), (1, 0, 0), (1, 1, 1), (0, 1, 0), (1, 1, 2), (1, 1, 0), (1, 0, 3)]
+    cases = [
+        ("bit3", "bit", [hand_built(3, small + [(1, 0, 0), (3, 2, 0), (0, 7, 0)])]),
+        ("concat6", "bit", [hand_built(6, small + [(9, 0, 0), (9, 1, 0), (0, 9, 0), (9, 9, 3)])]),
+    ]
+    for scheme in ("bit3", "dfs2", "concat6"):
+        n = scheme_recovery(scheme, "phase")[0].n
+        # every phase-flavor Pauli is a Z-string, so all share x_mask 0
+        cases.append((scheme, "phase", [
+            channel(model, n, p, mu, "phase")
+            for model in (MODEL_I, MODEL_II) for p in (0.1, 0.9) for mu in (0.0, 0.6)
+        ]))
+    for scheme, flavor, channels in cases:
+        code, rs = scheme_recovery(scheme, flavor)
+        fresh = RecoverySet(code, rs.ops, rs.complement)
+        expected = [per_call_dense_oracle_fidelity(ch, rs) for ch in channels]
+        for warm in (False, True):
+            for ch, want in zip(channels, expected):
+                assert dense_oracle_fidelity(ch, fresh) == want, (scheme, flavor, warm)
+        assert set(fresh.dense_squares) == {op for ch in channels for op in ch.paulis}
 
 
 def test_complement_terms_have_zero_trace():
